@@ -70,9 +70,7 @@ class ArcadeEvaluator:
     composition steps — ``"strong"`` (default), ``"branching"`` (the
     equivalence CADP's minimisation uses in the paper's tool chain),
     ``"weak"`` or ``"none"`` — and is forwarded to
-    :class:`repro.composer.Composer` together with the reduction-policy
-    knobs (``reduce_policy``, ``reduce_every_n``,
-    ``adaptive_reduction_states``).  ``order`` accepts an explicit nested
+    :class:`repro.composer.Composer`.  ``order`` accepts an explicit nested
     order, ``None`` for the greedy heuristic, or ``"auto"`` for the
     cost-model-guided planner (``plan_budget`` / ``plan_seed`` /
     ``plan_parameters`` tune its search; see :mod:`repro.planner`).
@@ -94,11 +92,7 @@ class ArcadeEvaluator:
         order: CompositionOrder | str | None = None,
         reduction: str = "strong",
         max_gate_width: int = 2,
-        lump_final_ctmc: bool = True,
         cache: QuotientCache | str | None = None,
-        reduce_policy: str | None = None,
-        reduce_every_n: int = 1,
-        adaptive_reduction_states: int | None = None,
         plan_budget: int | None = None,
         plan_seed: int = 0,
         plan_parameters=None,
@@ -141,13 +135,9 @@ class ArcadeEvaluator:
         self.order = order
         self.reduction = reduction
         self.max_gate_width = max_gate_width
-        self.lump_final_ctmc = lump_final_ctmc
         #: The resolved quotient cache, shared by every pipeline this
         #: evaluator runs (``None`` when caching is off).
         self.cache: QuotientCache | None = resolve_cache(cache)
-        self.reduce_policy = reduce_policy
-        self.reduce_every_n = reduce_every_n
-        self.adaptive_reduction_states = adaptive_reduction_states
         #: Search budget / RNG seed forwarded to the planner when
         #: ``order="auto"`` (``None`` budget = the planner's default).
         self.plan_budget = plan_budget
@@ -212,27 +202,29 @@ class ArcadeEvaluator:
             )
         return self._resolved_backend
 
+    def _compose(
+        self, translated: TranslatedModel, order: CompositionOrder | str | None
+    ) -> ComposedSystem:
+        """Run the composer on ``translated`` with this evaluator's settings."""
+        with self._telemetry_scope():
+            return compose_model(
+                translated,
+                order=order,
+                reduction=self.reduction,
+                cache=self.cache,
+                plan_budget=self.plan_budget,
+                plan_seed=self.plan_seed,
+                plan_parameters=self.plan_parameters,
+                jobs=self.jobs,
+                retry=self.retry,
+                state_budget=self.state_budget,
+            )
+
     @property
     def composed(self) -> ComposedSystem:
         """The composed system (I/O-IMC, CTMC and composition statistics)."""
         if self._composed is None:
-            with self._telemetry_scope():
-                self._composed = compose_model(
-                    self.translated,
-                    order=self.order,
-                    reduction=self.reduction,
-                    lump_final_ctmc=self.lump_final_ctmc,
-                    cache=self.cache,
-                    reduce_policy=self.reduce_policy,
-                    reduce_every_n=self.reduce_every_n,
-                    adaptive_reduction_states=self.adaptive_reduction_states,
-                    plan_budget=self.plan_budget,
-                    plan_seed=self.plan_seed,
-                    plan_parameters=self.plan_parameters,
-                    jobs=self.jobs,
-                    retry=self.retry,
-                    state_budget=self.state_budget,
-                )
+            self._composed = self._compose(self.translated, self.order)
         return self._composed
 
     @property
@@ -256,23 +248,7 @@ class ArcadeEvaluator:
                 # Explicit orders lose the blocks that no longer exist;
                 # "auto" passes through and re-plans on the stripped model.
                 order = _filter_order(order, set(translated.blocks))
-            with self._telemetry_scope():
-                self._composed_no_repair = compose_model(
-                    translated,
-                    order=order,
-                    reduction=self.reduction,
-                    lump_final_ctmc=self.lump_final_ctmc,
-                    cache=self.cache,
-                    reduce_policy=self.reduce_policy,
-                    reduce_every_n=self.reduce_every_n,
-                    adaptive_reduction_states=self.adaptive_reduction_states,
-                    plan_budget=self.plan_budget,
-                    plan_seed=self.plan_seed,
-                    plan_parameters=self.plan_parameters,
-                    jobs=self.jobs,
-                    retry=self.retry,
-                    state_budget=self.state_budget,
-                )
+            self._composed_no_repair = self._compose(translated, order)
         return self._composed_no_repair
 
     # ------------------------------------------------------------------ #

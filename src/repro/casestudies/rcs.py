@@ -417,75 +417,23 @@ def main(argv: list[str] | None = None) -> None:
     """
     import argparse
 
-    parser = argparse.ArgumentParser(
-        description="Reactor Cooling System case study (Section 5.2)"
-    )
-    parser.add_argument(
-        "--reduction",
-        choices=("strong", "weak", "branching"),
-        default="strong",
-        help="bisimulation variant applied between composition steps",
-    )
-    parser.add_argument(
-        "--order",
-        choices=ORDER_CHOICES,
-        default="hierarchical",
-        help="composition-order policy: the paper's hierarchical decomposition, "
-        "the greedy signal-closing heuristic, or the cost-model-guided planner",
-    )
-    parser.add_argument(
-        "--cache",
-        choices=("on", "off"),
-        default="on",
-        help="isomorphism-aware quotient cache, shared across both subsystem "
-        "evaluators (the pump lines are isomorphic up to signal renaming)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for parallel subtree aggregation (1 = serial)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("compose", "simulate"),
-        default="compose",
-        help="compose: the paper's compositional-aggregation pipeline; "
-        "simulate: RESTART rare-event simulation on the flat RCS model",
-    )
-    parser.add_argument(
-        "--replications",
-        type=int,
-        default=256,
-        help="simulation roots per batch (simulate backend only)",
-    )
-    parser.add_argument(
-        "--rel-error",
-        type=float,
-        default=None,
-        help="target relative CI half-width; keeps adding replication "
-        "batches until reached (simulate backend only)",
-    )
-    parser.add_argument(
-        "--sim-horizon",
-        type=float,
-        default=10_000.0,
-        help="time horizon of each simulated trajectory, hours",
-    )
-    parser.add_argument(
-        "--sim-seed",
-        type=int,
-        default=0,
-        help="seed of the simulation RNG stream",
-    )
     from ..telemetry import (
         add_observability_arguments,
         configure_logging,
         get_logger,
         telemetry_session,
     )
-    from .sweep_cli import add_resilience_arguments, add_sweep_arguments, run_sweep_cli
+    from .sweep_cli import (
+        add_pipeline_arguments,
+        add_resilience_arguments,
+        add_sweep_arguments,
+        run_sweep_cli,
+    )
 
+    parser = argparse.ArgumentParser(
+        description="Reactor Cooling System case study (Section 5.2)"
+    )
+    add_pipeline_arguments(parser)
     add_observability_arguments(parser)
     add_sweep_arguments(parser)
     add_resilience_arguments(parser)

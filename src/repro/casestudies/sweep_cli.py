@@ -21,8 +21,71 @@ import argparse
 from ..errors import SweepError
 from ..sweep import Prior, SweepConfig, SweepResult, run_sweep
 from ..telemetry import get_logger
+from .orders import ORDER_CHOICES
 
 log = get_logger("sweep")
+
+
+def add_pipeline_arguments(parser: argparse.ArgumentParser) -> None:
+    """Register the evaluation-pipeline options shared by the case-study CLIs."""
+    parser.add_argument(
+        "--reduction",
+        choices=("strong", "weak", "branching"),
+        default="strong",
+        help="bisimulation variant applied between composition steps",
+    )
+    parser.add_argument(
+        "--order",
+        choices=ORDER_CHOICES,
+        default="hierarchical",
+        help="composition-order policy: the paper's hierarchical decomposition, "
+        "the greedy signal-closing heuristic, or the cost-model-guided planner",
+    )
+    parser.add_argument(
+        "--cache",
+        choices=("on", "off"),
+        default="on",
+        help="isomorphism-aware quotient cache: compose each replicated "
+        "subtree once and rebase the copies",
+    )
+    parser.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="worker processes for parallel subtree aggregation (1 = serial)",
+    )
+    parser.add_argument(
+        "--backend",
+        choices=("compose", "simulate"),
+        default="compose",
+        help="compose: the paper's compositional-aggregation pipeline; "
+        "simulate: RESTART rare-event simulation (no state space built)",
+    )
+    parser.add_argument(
+        "--replications",
+        type=int,
+        default=256,
+        help="simulation roots per batch (simulate backend only)",
+    )
+    parser.add_argument(
+        "--rel-error",
+        type=float,
+        default=None,
+        help="target relative CI half-width; keeps adding replication "
+        "batches until reached (simulate backend only)",
+    )
+    parser.add_argument(
+        "--sim-horizon",
+        type=float,
+        default=10_000.0,
+        help="time horizon of each simulated trajectory, hours",
+    )
+    parser.add_argument(
+        "--sim-seed",
+        type=int,
+        default=0,
+        help="seed of the simulation RNG stream",
+    )
 
 
 def add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
@@ -353,6 +416,7 @@ def _log_error_rows(result: SweepResult) -> None:
 
 
 __all__ = [
+    "add_pipeline_arguments",
     "add_resilience_arguments",
     "add_sweep_arguments",
     "load_cache_file",

@@ -2,7 +2,6 @@
 
 from .cache import CacheEntry, QuotientCache, SubtreeFingerprint, resolve_cache
 from .composer import (
-    REDUCE_POLICIES,
     REDUCTION_MODES,
     ComposedSystem,
     CompositionOrder,
@@ -14,7 +13,6 @@ from .composer import (
 from .ordering import GateScheduler, flatten_order, hierarchical_order
 
 __all__ = [
-    "REDUCE_POLICIES",
     "REDUCTION_MODES",
     "CacheEntry",
     "ComposedSystem",

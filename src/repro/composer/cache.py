@@ -41,10 +41,7 @@ A binary step ``left || right ; hide H ; reduce`` is keyed on
   of ``(left slot, right slot)`` pairs that carry the same concrete name,
 * the hidden-signal set expressed as slots of the (pre-hiding) composite
   alphabet, and
-* the reduction applied: the bisimulation mode and the
-  vanishing-elimination flag when the step was reduced, or a mode-free
-  ``raw`` tag when the reduction was skipped (an unreduced product does not
-  depend on the mode, so sparse-schedule runs share entries across modes).
+* the bisimulation mode of the reduction that follows every step.
 
 Soundness
 ---------
@@ -93,7 +90,7 @@ class StepPlan:
     """A composition step expressed in canonical (slot) coordinates."""
 
     #: Hash over (operand keys, sync pairs, hidden slots): the mode-free part
-    #: of the step identity.
+    #: of the step identity (see :meth:`QuotientCache.result_key`).
     base: str
     #: Concrete visible names of the resulting composite (post-hiding).
     slots: tuple[str, ...]
@@ -130,9 +127,6 @@ class QuotientCache:
 
     def __init__(self) -> None:
         self._entries: dict[str, CacheEntry] = {}
-        #: Pre-reduction sizes per step base, for reduction-policy decisions
-        #: that need the product size before deciding which variant to fetch.
-        self._before_sizes: dict[str, tuple[int, int]] = {}
         #: Keyed by the automaton *object* (identity hash): keeps the leaf
         #: alive while memoised, so a recycled ``id()`` can never serve a
         #: stale fingerprint for a structurally unrelated automaton.
@@ -232,31 +226,16 @@ class QuotientCache:
         )
 
     @staticmethod
-    def result_key(
-        plan: StepPlan, *, reduced: bool, reduction: str, eliminate_vanishing: bool
-    ) -> str:
-        """Dictionary key of one step variant.
-
-        Unreduced steps are plain products — independent of the bisimulation
-        mode — and share a mode-free key.
-        """
-        if not reduced:
-            return plan.base + "|raw"
-        return plan.base + f"|{reduction}|v={int(eliminate_vanishing)}"
+    def result_key(plan: StepPlan, *, reduction: str) -> str:
+        """Dictionary key of one step under the given bisimulation mode."""
+        # "|v=1" is kept so persisted caches and sweep checkpoints stay valid.
+        return plan.base + f"|{reduction}|v=1"
 
     # ------------------------------------------------------------------ #
     # lookup / store
     # ------------------------------------------------------------------ #
     def get(self, key: str) -> CacheEntry | None:
         return self._entries.get(key)
-
-    def peek_before(self, plan: StepPlan) -> tuple[int, int] | None:
-        """Pre-reduction ``(states, transitions)`` of this step, if known.
-
-        Lets the reduction policy decide reduce-vs-skip on a would-be hit
-        without building the product.
-        """
-        return self._before_sizes.get(plan.base)
 
     def store(
         self,
@@ -294,9 +273,6 @@ class QuotientCache:
             compose_seconds=compose_seconds,
             reduce_seconds=reduce_seconds,
         )
-        self._before_sizes.setdefault(
-            plan.base, (states_before, transitions_before)
-        )
         self.stores += 1
         return True
 
@@ -330,8 +306,6 @@ class QuotientCache:
             self._leaf_representatives.setdefault(digest, representative)
         for key, entry in other._entries.items():
             self._entries.setdefault(key, entry)
-        for base, sizes in other._before_sizes.items():
-            self._before_sizes.setdefault(base, sizes)
         self.hits += other.hits
         self.misses += other.misses
         self.stores += other.stores
@@ -360,10 +334,6 @@ class QuotientCache:
         of the uninterrupted run exactly.
         """
         self._entries[key] = entry
-        base = key.split("|", 1)[0]
-        self._before_sizes.setdefault(
-            base, (entry.states_before, entry.transitions_before)
-        )
 
     # ------------------------------------------------------------------ #
     # reporting

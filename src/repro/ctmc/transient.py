@@ -33,12 +33,16 @@ def transient_distribution(
     ctmc:
         The chain to analyse.
     time:
-        Time horizon (``>= 0``).
+        Time horizon (finite, ``>= 0``).
     initial:
         Optional alternative initial distribution (defaults to the chain's).
     epsilon:
         Bound on the truncated Poisson probability mass.
     """
+    if not np.isfinite(time):
+        raise AnalysisError(
+            f"transient analysis requires a finite time horizon, got {time}"
+        )
     if time < 0:
         raise AnalysisError("transient analysis requires a non-negative time horizon")
     distribution = (

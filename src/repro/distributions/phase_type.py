@@ -52,21 +52,25 @@ class PhaseType:
     def __post_init__(self) -> None:
         if not self.initial:
             raise ModelError("a phase-type distribution needs at least one phase")
-        if abs(sum(self.initial) - 1.0) > 1e-9:
+        if not abs(sum(self.initial) - 1.0) <= 1e-9:  # also rejects NaN
             raise ModelError("initial phase probabilities must sum to one")
         phases = self.num_phases
         for source, rate, target in self.transitions:
             if not (0 <= source < phases and 0 <= target < phases):
                 raise ModelError("phase transition endpoint out of range")
-            if rate <= 0:
-                raise ModelError("phase transition rates must be positive")
+            if not _positive_finite(rate):
+                raise ModelError(
+                    f"phase transition rates must be positive and finite, got {rate}"
+                )
             if source == target:
                 raise ModelError("phase self-loops are not allowed")
         for phase, rate in self.completions:
             if not 0 <= phase < phases:
                 raise ModelError("completion phase out of range")
-            if rate <= 0:
-                raise ModelError("completion rates must be positive")
+            if not _positive_finite(rate):
+                raise ModelError(
+                    f"completion rates must be positive and finite, got {rate}"
+                )
         if not self.completions:
             raise ModelError("a phase-type distribution must be able to complete")
 
@@ -80,8 +84,8 @@ class PhaseType:
 
     def scaled(self, factor: float) -> "PhaseType":
         """Distribution with every rate multiplied by ``factor`` (time scaled by 1/factor)."""
-        if factor <= 0:
-            raise ModelError("scaling factor must be positive")
+        if not _positive_finite(factor):
+            raise ModelError(f"scaling factor must be positive and finite, got {factor}")
         return PhaseType(
             self.initial,
             tuple((s, r * factor, t) for s, r, t in self.transitions),
@@ -230,10 +234,15 @@ class PhaseType:
         return self.describe()
 
 
+def _positive_finite(value: float) -> bool:
+    """``value > 0`` and finite (NaN fails too: every comparison with it is False)."""
+    return 0 < value < math.inf
+
+
 def Exponential(rate: float) -> PhaseType:
     """Exponential distribution with the given ``rate`` (a 1-phase PH)."""
-    if rate <= 0:
-        raise ModelError(f"exponential rate must be positive, got {rate}")
+    if not _positive_finite(rate):
+        raise ModelError(f"exponential rate must be positive and finite, got {rate}")
     return PhaseType((1.0,), (), ((0, rate),), name=f"exp({rate:g})")
 
 
@@ -241,8 +250,8 @@ def Erlang(stages: int, rate: float) -> PhaseType:
     """Erlang distribution: ``stages`` exponential phases of the given ``rate``."""
     if stages < 1:
         raise ModelError("an Erlang distribution needs at least one stage")
-    if rate <= 0:
-        raise ModelError(f"Erlang rate must be positive, got {rate}")
+    if not _positive_finite(rate):
+        raise ModelError(f"Erlang rate must be positive and finite, got {rate}")
     initial = tuple(1.0 if phase == 0 else 0.0 for phase in range(stages))
     transitions = tuple((phase, rate, phase + 1) for phase in range(stages - 1))
     completions = ((stages - 1, rate),)
@@ -253,7 +262,7 @@ def HyperExponential(probabilities: Sequence[float], rates: Sequence[float]) -> 
     """Mixture of exponentials: with probability ``p_i`` the rate is ``rates[i]``."""
     if len(probabilities) != len(rates) or not probabilities:
         raise ModelError("need matching, non-empty probability and rate lists")
-    if abs(sum(probabilities) - 1.0) > 1e-9:
+    if not abs(sum(probabilities) - 1.0) <= 1e-9:  # also rejects NaN
         raise ModelError("hyper-exponential branch probabilities must sum to one")
     completions = tuple((index, rate) for index, rate in enumerate(rates))
     return PhaseType(

@@ -19,7 +19,6 @@ and backend layout.
 
 from .branching import (
     branching_bisimulation_partition,
-    branching_partition_reference,
     minimize_branching,
 )
 from .partition import Partition
@@ -41,7 +40,6 @@ __all__ = [
     "Partition",
     "LumpingResult",
     "branching_bisimulation_partition",
-    "branching_partition_reference",
     "refine_partition_vectorized",
     "refine_with_worklist",
     "eliminate_vanishing_chains",

@@ -287,8 +287,8 @@ class CostModel:
     ) -> "CostModel":
         """A copy of this model with damping factors re-fitted from a real run.
 
-        The *hide* damping is fitted from every recorded step that was
-        reduced after hiding at least one signal: each such step observed a
+        The *hide* damping is fitted from every recorded step that hid at
+        least one signal: each such step observed a
         post/pre ratio ``after/before`` produced by ``h`` hidden signals, so
         it votes ``(after/before) ** (1/h)``; the fit is the geometric mean
         of the votes.  When ``order`` (the order the statistics were recorded
@@ -301,7 +301,7 @@ class CostModel:
         hide_votes: list[float] = []
         for step in statistics.steps:
             hidden = len(step.hidden_actions)
-            if not step.reduced or hidden == 0 or step.states_before_reduction <= 0:
+            if hidden == 0 or step.states_before_reduction <= 0:
                 continue
             ratio = step.states_after_reduction / step.states_before_reduction
             if ratio <= 0:

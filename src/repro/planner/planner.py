@@ -112,7 +112,6 @@ def plan_order(
     cache_aware: bool = False,
     cache: "QuotientCache | None" = None,
     reduction: str = "strong",
-    eliminate_vanishing: bool = True,
 ) -> tuple[CompositionOrder, PlanReport]:
     """Search for a good composition order for ``translated``.
 
@@ -151,10 +150,9 @@ def plan_order(
         consulted (:func:`~repro.planner.search.warm_fold_keys`) so the
         *first* copy of a group a pre-warmed shared cache already holds is
         priced ~free too — not just the later replicas.
-    reduction / eliminate_vanishing:
-        The composer's reduction settings; they parameterise the cache
-        result keys the warm-fold check looks up.  Ignored without a
-        ``cache``.
+    reduction:
+        The composer's bisimulation mode; it parameterises the cache result
+        keys the warm-fold check looks up.  Ignored without a ``cache``.
 
     Returns
     -------
@@ -175,7 +173,6 @@ def plan_order(
             cache_aware=cache_aware,
             cache=cache,
             reduction=reduction,
-            eliminate_vanishing=eliminate_vanishing,
         )
         plan_span.set(
             predicted_peak_states=report.predicted_peak_states,
@@ -198,7 +195,6 @@ def _plan_order_impl(
     cache_aware: bool,
     cache: "QuotientCache | None",
     reduction: str,
-    eliminate_vanishing: bool,
 ) -> tuple[CompositionOrder, PlanReport]:
     """The search itself (see :func:`plan_order`, the traced facade)."""
     started = time.perf_counter()
@@ -227,7 +223,6 @@ def _plan_order_impl(
             groups,
             cache,
             reduction=reduction,
-            eliminate_vanishing=eliminate_vanishing,
         )
     if len(groups) > 1:
         # Isomorphic sibling groups (the replicated subsystems) collapse the

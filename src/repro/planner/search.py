@@ -437,7 +437,6 @@ def _simulate_subtree(
     item,
     *,
     reduction: str,
-    eliminate_vanishing: bool,
 ) -> tuple[SubtreeFingerprint, set[str], set[str], int]:
     """Walk one (possibly nested) order item through the cache's key algebra.
 
@@ -457,13 +456,11 @@ def _simulate_subtree(
     if not members:
         raise _ColdFold
     left, blocks, outputs, steps = _simulate_subtree(
-        translated, cache, members[0],
-        reduction=reduction, eliminate_vanishing=eliminate_vanishing,
+        translated, cache, members[0], reduction=reduction
     )
     for member in members[1:]:
         right, right_blocks, right_outputs, right_steps = _simulate_subtree(
-            translated, cache, member,
-            reduction=reduction, eliminate_vanishing=eliminate_vanishing,
+            translated, cache, member, reduction=reduction
         )
         blocks |= right_blocks
         steps += right_steps
@@ -474,14 +471,9 @@ def _simulate_subtree(
             if translated.listeners_of(action) <= blocks
         )
         plan = cache.plan_step(left, right, hidable)
-        if plan is None or cache.peek_before(plan) is None:
+        if plan is None:
             raise _ColdFold
-        key = QuotientCache.result_key(
-            plan,
-            reduced=True,
-            reduction=reduction,
-            eliminate_vanishing=eliminate_vanishing,
-        )
+        key = QuotientCache.result_key(plan, reduction=reduction)
         if cache.get(key) is None:
             raise _ColdFold
         left = SubtreeFingerprint(key, plan.slots)
@@ -498,7 +490,6 @@ def warm_fold_keys(
     cache: QuotientCache | None,
     *,
     reduction: str,
-    eliminate_vanishing: bool,
 ) -> frozenset[tuple[str, ...]]:
     """Fold keys of groups whose whole in-group fold the cache already holds.
 
@@ -533,8 +524,7 @@ def warm_fold_keys(
         for members in candidates:
             try:
                 *_, steps = _simulate_subtree(
-                    translated, cache, members,
-                    reduction=reduction, eliminate_vanishing=eliminate_vanishing,
+                    translated, cache, members, reduction=reduction
                 )
             except _ColdFold:
                 continue

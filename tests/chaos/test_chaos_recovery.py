@@ -57,7 +57,6 @@ def _shape_trajectory(system):
             step.states_after_reduction,
             step.transitions_after_reduction,
             step.hidden_actions,
-            step.reduced,
         )
         for step in system.statistics.steps
     ]

@@ -6,7 +6,7 @@ Three layers, mirroring how the strong and weak engines are pinned:
   (branching is strictly finer than weak and strictly coarser than strong);
 * tau-cycle, divergence and maximal-progress edge cases;
 * a differential property test of the vectorised engine against the scalar
-  round-based reference (:func:`repro.lumping.branching_partition_reference`)
+  round-based reference (:func:`oracles.branching.branching_partition_reference`)
   on random tau-heavy automata, block-for-block including the canonical
   first-occurrence numbering.
 """
@@ -15,11 +15,12 @@ import random
 
 import pytest
 
+from oracles.branching import branching_partition_reference
+
 from repro.ctmc import extract_ctmc, steady_state_availability
 from repro.ioimc import IOIMCBuilder, Signature, hide
 from repro.lumping import (
     branching_bisimulation_partition,
-    branching_partition_reference,
     maximal_progress_cut,
     minimize_branching,
     minimize_strong,

@@ -1,7 +1,10 @@
 """Tests for the paper's case studies (Section 5): DDS and RCS."""
 
+import logging
+
 import pytest
 
+from repro.casestudies import dds, rcs
 from repro.casestudies.dds import (
     DDSParameters,
     MISSION_TIME_HOURS,
@@ -132,3 +135,28 @@ class TestRCSModel:
         assert pump.time_to_failure_of(1).mean() == pytest.approx(
             pump.time_to_failure_of(0).mean() / 2.0
         )
+
+
+@pytest.fixture
+def cli_output(caplog):
+    """Collect what the case-study CLIs log (their logger does not propagate)."""
+    logger = logging.getLogger("repro.cli")
+    logger.addHandler(caplog.handler)
+    yield caplog
+    logger.removeHandler(caplog.handler)
+
+
+class TestCaseStudyCLIs:
+    def test_dds_cli_runs_a_small_instance(self, cli_output):
+        dds.main(["--clusters", "1", "--disks-per-cluster", "2", "--reduction", "weak"])
+        assert "reduction=weak, order=hierarchical" in cli_output.text
+        assert "final CTMC: 30 states / 112 transitions" in cli_output.text
+
+    def test_rcs_cli_runs(self, cli_output):
+        rcs.main(["--cache", "off"])
+        assert "pump subsystem CTMC: 1164 states / 8928 transitions" in cli_output.text
+        assert "cache:" not in cli_output.text
+
+    def test_cluster_options_are_dds_only(self):
+        with pytest.raises(SystemExit):
+            rcs.main(["--clusters", "1"])

@@ -14,13 +14,11 @@ shared-action joins.
 import pytest
 
 from differential.generators import random_arcade_model
+from oracles.composition import product_tables_pairwise
 
 from repro.arcade.semantics import translate_model
 from repro.ioimc import compose
-from repro.ioimc.composition import (
-    _product_tables_batched,
-    _product_tables_pairwise,
-)
+from repro.ioimc.composition import _product_tables_batched
 
 SEEDS = range(10)
 
@@ -65,7 +63,7 @@ def test_batched_product_matches_pairwise_state_for_state(seed):
             left, right
         )
         pairwise_pairs, pairwise_interactive, pairwise_markovian = (
-            _product_tables_pairwise(left, right)
+            product_tables_pairwise(left, right)
         )
 
         # Same reachable set of component-state pairs, same initial pair.
@@ -108,7 +106,7 @@ def test_public_compose_summary_is_numbering_independent(seed):
         composite = compose(left, right)
         enabled_left = left.ensure_input_enabled()
         enabled_right = right.ensure_input_enabled()
-        pairs, interactive, markovian = _product_tables_pairwise(
+        pairs, interactive, markovian = product_tables_pairwise(
             enabled_left, enabled_right
         )
         assert composite.num_states == len(pairs)

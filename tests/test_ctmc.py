@@ -102,6 +102,14 @@ class TestSteadyState:
         assert distribution[0] == pytest.approx(1.0 / size, rel=1e-6)
 
 
+@pytest.fixture(scope="module")
+def quickstart_chain() -> CTMC:
+    from repro import quickstart_model
+    from repro.analysis import ArcadeEvaluator
+
+    return ArcadeEvaluator(quickstart_model()).ctmc
+
+
 class TestTransient:
     def test_two_state_closed_form(self):
         failure, repair = 0.2, 1.0
@@ -125,6 +133,16 @@ class TestTransient:
 
         with pytest.raises(AnalysisError):
             transient_distribution(two_state_machine(), -1.0)
+
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "measure", [reliability, unreliability, point_availability, transient_distribution]
+    )
+    def test_non_finite_horizon_rejected(self, quickstart_chain, measure, horizon):
+        from repro.errors import AnalysisError
+
+        with pytest.raises(AnalysisError, match="finite time horizon"):
+            measure(quickstart_chain, horizon)
 
 
 class TestAbsorbing:

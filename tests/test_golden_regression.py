@@ -89,12 +89,6 @@ class TestDDSGolden:
         )
         assert len(statistics.steps) == DDS_GOLDEN["composition_steps"]
 
-    def test_every_step_was_reduced_under_default_policy(self, dds_full_evaluator):
-        dds_full_evaluator.availability()
-        assert all(
-            step.reduced for step in dds_full_evaluator.composed.statistics.steps
-        )
-
     def test_availability(self, dds_full_evaluator):
         assert dds_full_evaluator.availability() == pytest.approx(
             DDS_GOLDEN["availability"], rel=1e-12

@@ -32,6 +32,11 @@ class TestExponential:
         with pytest.raises(ModelError):
             Exponential(-1.0)
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_rate(self, rate):
+        with pytest.raises(ModelError):
+            Exponential(rate)
+
     def test_single_phase(self):
         assert Exponential(3.0).num_phases == 1
 
@@ -61,6 +66,11 @@ class TestErlang:
         with pytest.raises(ModelError):
             Erlang(0, 1.0)
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_rate(self, rate):
+        with pytest.raises(ModelError):
+            Erlang(2, rate)
+
     def test_phase_count(self):
         assert Erlang(4, 1.0).num_phases == 4
 
@@ -73,6 +83,15 @@ class TestHyperExponential:
     def test_probabilities_must_sum_to_one(self):
         with pytest.raises(ModelError):
             HyperExponential([0.3, 0.3], [1.0, 2.0])
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_rejects_non_finite_rate(self, rate):
+        with pytest.raises(ModelError):
+            HyperExponential([0.5, 0.5], [1.0, rate])
+
+    def test_rejects_nan_probability(self):
+        with pytest.raises(ModelError):
+            HyperExponential([math.nan, 0.5], [1.0, 2.0])
 
     def test_cdf_is_mixture(self):
         distribution = HyperExponential([0.5, 0.5], [1.0, 3.0])
@@ -101,6 +120,18 @@ class TestPhaseTypeValidation:
     def test_scaled_rejects_nonpositive(self):
         with pytest.raises(ModelError):
             Exponential(1.0).scaled(0.0)
+
+    @pytest.mark.parametrize("factor", [math.nan, math.inf])
+    def test_scaled_rejects_non_finite(self, factor):
+        with pytest.raises(ModelError):
+            Exponential(1.0).scaled(factor)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_rejects_non_finite_transition_and_completion_rates(self, rate):
+        with pytest.raises(ModelError):
+            PhaseType((1.0, 0.0), ((0, rate, 1),), ((1, 1.0),))
+        with pytest.raises(ModelError):
+            PhaseType((1.0,), (), ((0, rate),))
 
 
 class TestSampling:

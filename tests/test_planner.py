@@ -265,7 +265,7 @@ class TestWarmCachePricing:
         translated, cache, model, scheduler, groups = self._warm_setup()
         warm = warm_fold_keys(
             translated, scheduler, model, groups, cache,
-            reduction="strong", eliminate_vanishing=True,
+            reduction="strong",
         )
         assert warm, "a fully warmed cache must mark some group folds warm"
         # An empty cache (or none) marks nothing.
@@ -274,7 +274,7 @@ class TestWarmCachePricing:
         for empty in (QuotientCache(), None):
             assert warm_fold_keys(
                 translated, scheduler, model, groups, empty,
-                reduction="strong", eliminate_vanishing=True,
+                reduction="strong",
             ) == frozenset()
 
     def test_warm_folds_lower_the_cache_aware_score(self):
@@ -283,7 +283,7 @@ class TestWarmCachePricing:
         translated, cache, model, scheduler, groups = self._warm_setup()
         warm = warm_fold_keys(
             translated, scheduler, model, groups, cache,
-            reduction="strong", eliminate_vanishing=True,
+            reduction="strong",
         )
         chain = tuple(tuple(group) for group in groups)
         cold = score_groups(model, scheduler, chain, cache_aware=True)
@@ -300,7 +300,7 @@ class TestWarmCachePricing:
         translated, cache, model, scheduler, groups = self._warm_setup()
         assert warm_fold_keys(
             translated, scheduler, model, groups, cache,
-            reduction="branching", eliminate_vanishing=True,
+            reduction="branching",
         ) == frozenset()
 
 

@@ -9,7 +9,7 @@ from repro.arcade.syntax import (
     parse_number,
     serialize_model,
 )
-from repro.errors import SyntaxParseError
+from repro.errors import ModelError, SyntaxParseError
 
 PROCESSOR_SPEC = """
 # Processors of the distributed database system (Section 5.1.1)
@@ -85,6 +85,18 @@ class TestNumberAndDistributionParsing:
     def test_unknown_distribution(self):
         with pytest.raises(SyntaxParseError):
             parse_distribution("weibull(1, 2)")
+
+    @pytest.mark.parametrize(
+        "term", ["exp(inf)", "exp(nan)", "exp(-inf)", "erlang(2, inf)"]
+    )
+    def test_non_finite_rate_rejected(self, term):
+        with pytest.raises(ModelError):
+            parse_distribution(term)
+
+    def test_non_finite_rate_rejected_in_model_text(self):
+        text = PROCESSOR_SPEC.replace("TIME-TO-REPAIR: exp(1)", "TIME-TO-REPAIR: exp(inf)", 1)
+        with pytest.raises(ModelError):
+            parse_model(text)
 
 
 class TestModelParsing:
