@@ -32,6 +32,7 @@ a ``DESTRUCTIVE FDEP`` line is present.
 
 from __future__ import annotations
 
+import math
 import re
 
 from ...distributions import Erlang, Exponential, PhaseType
@@ -77,7 +78,10 @@ def parse_number(text: str) -> float:
         parts = term.split("/")
         if len(parts) != 2:
             raise SyntaxParseError(f"cannot parse number {text!r}")
-        return parse_number(parts[0]) / parse_number(parts[1])
+        numerator, denominator = parse_number(parts[0]), parse_number(parts[1])
+        if denominator == 0:
+            raise SyntaxParseError(f"cannot parse number {text!r}: division by zero")
+        return numerator / denominator
     try:
         return float(term)
     except ValueError as error:
@@ -278,11 +282,18 @@ class _ModelParser:
         strategy_line = attributes.pop("STRATEGY", attributes.pop("REPAIR STRATEGY", None))
         strategy = strategy_line[1] if strategy_line is not None else "dedicated"
         priorities_line = attributes.pop("PRIORITIES", None)
-        priorities = (
-            [int(parse_number(term)) for term in self._split_list(priorities_line[1])]
-            if priorities_line is not None
-            else None
-        )
+        priorities = None
+        if priorities_line is not None:
+            line_number, value = priorities_line
+            priorities = []
+            for term in self._split_list(value):
+                priority = parse_number(term)
+                if not math.isfinite(priority):
+                    raise SyntaxParseError(
+                        f"repair unit {name}: priority {term!r} is not a finite number",
+                        line=line_number,
+                    )
+                priorities.append(int(priority))
         if attributes:
             raise SyntaxParseError(
                 f"repair unit {name}: unknown attribute {next(iter(attributes))!r}", line=number

@@ -468,8 +468,8 @@ def _verified_isomorphic(
     )
     if not all(np.array_equal(a, b) for a, b in zip(c_triples, r_triples)):
         return False
-    c_markov = candidate_index.markovian_csr()
-    r_markov = reference_index.markovian_csr()
+    c_markov = candidate_index.markovian_csr
+    r_markov = reference_index.markovian_csr
     if c_markov.num_edges != r_markov.num_edges:
         return False
 

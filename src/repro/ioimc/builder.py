@@ -9,6 +9,8 @@ states and transitions and produces an immutable :class:`IOIMC`.
 
 from __future__ import annotations
 
+import math
+
 from ..errors import ModelError
 from .actions import Signature
 from .ioimc import IOIMC
@@ -23,8 +25,8 @@ class IOIMCBuilder:
         self._state_index: dict[str, int] = {}
         self._state_names: list[str] = []
         self._labels: dict[int, set[str]] = {}
-        self._interactive: list[list[tuple[str, int]]] = []
-        self._markovian: list[list[tuple[float, int]]] = []
+        self._action_rows: list[list[tuple[str, int]]] = []
+        self._rate_rows: list[list[tuple[float, int]]] = []
         self._initial: int | None = None
 
     # ------------------------------------------------------------------ #
@@ -38,8 +40,8 @@ class IOIMCBuilder:
             index = len(self._state_names)
             self._state_index[name] = index
             self._state_names.append(name)
-            self._interactive.append([])
-            self._markovian.append([])
+            self._action_rows.append([])
+            self._rate_rows.append([])
         if labels:
             self._labels.setdefault(index, set()).update(labels)
         if initial:
@@ -69,16 +71,18 @@ class IOIMCBuilder:
         src = self.state(source)
         dst = self.state(target)
         entry = (action, dst)
-        if entry not in self._interactive[src]:
-            self._interactive[src].append(entry)
+        if entry not in self._action_rows[src]:
+            self._action_rows[src].append(entry)
 
     def markovian(self, source: str, rate: float, target: str) -> None:
         """Add a Markovian transition with exponential ``rate``."""
-        if rate <= 0:
-            raise ModelError(f"{self.name}: Markovian rate must be positive, got {rate}")
+        if not 0 < rate < math.inf:
+            raise ModelError(
+                f"{self.name}: Markovian rate must be positive and finite, got {rate}"
+            )
         src = self.state(source)
         dst = self.state(target)
-        self._markovian[src].append((rate, dst))
+        self._rate_rows[src].append((rate, dst))
 
     # ------------------------------------------------------------------ #
     # build
@@ -97,8 +101,8 @@ class IOIMCBuilder:
             self.signature,
             len(self._state_names),
             self._initial,
-            self._interactive,
-            self._markovian,
+            self._action_rows,
+            self._rate_rows,
             {state: frozenset(props) for state, props in self._labels.items()},
             self._state_names,
         )

@@ -35,7 +35,7 @@ import numpy as np
 from ..errors import CompositionError
 from ..nputil import csr_indptr, dedupe_packed_triples, gather_row_indices
 from .actions import Signature
-from .indexed import InteractiveCSR, MarkovianCSR, TransitionIndex
+from .indexed import InteractiveCSR, MarkovianCSR
 from .ioimc import IOIMC
 
 
@@ -77,29 +77,24 @@ def compose(left: IOIMC, right: IOIMC, name: str | None = None) -> IOIMC:
         f"{left_names[pair // width]}|{right_names[pair % width]}" for pair in pairs
     ]
 
-    composite = IOIMC.trusted(
+    # The product was built from flat arrays.  The composed signature's
+    # action universe is exactly the (sorted) union the batched engine
+    # interned, so the action ids line up.
+    return IOIMC.trusted(
         composite_name,
         signature,
         len(pairs),
         0,
-        None,  # rows materialise lazily from the CSR tables attached below
-        None,
+        interactive_csr,
+        markovian_csr,
         labels,
         state_names,
     )
-    # The product was built from flat arrays; hand them straight to the
-    # transition index instead of re-deriving them from the Python rows.
-    # The composed signature's action universe is exactly the (sorted) union
-    # the batched engine interned, so the ids line up.
-    composite._index = TransitionIndex.from_tables(
-        composite, interactive_csr, markovian_csr
-    )
-    return composite
 
 
 def _product_tables_batched(
     left: IOIMC, right: IOIMC
-) -> tuple[list[int], list[list[tuple[str, int]]], list[list[tuple[float, int]]]]:
+) -> tuple[list[int], InteractiveCSR, MarkovianCSR]:
     """Reachable product of two (input-enabled, compatible) I/O-IMCs.
 
     Returns ``(pairs, interactive_csr, markovian_csr)`` where ``pairs[s]``
@@ -127,8 +122,8 @@ def _product_tables_batched(
 
     left_free, left_sync = _split_component_edges(left, action_id, shared_flags, code_dtype)
     right_free, right_sync = _split_component_edges(right, action_id, shared_flags, code_dtype)
-    left_markov = left.index().markovian_csr()
-    right_markov = right.index().markovian_csr()
+    left_markov = left.index().markovian_csr
+    right_markov = right.index().markovian_csr
 
     initial = np.array([left.initial * width + right.initial], dtype=code_dtype)
     known_codes = initial.copy()  # sorted pair codes
@@ -247,8 +242,8 @@ def _product_tables_batched(
         int_chunks.append((src, act, known_ids[np.searchsorted(known_codes, code)]))
         mkv_chunks.append((msrc, mval, known_ids[np.searchsorted(known_codes, mcode)]))
 
-    interactive_csr = _csr_from_chunks_interactive(int_chunks, len(pair_of_state))
-    markovian_csr = _csr_from_chunks_markovian(mkv_chunks, len(pair_of_state))
+    interactive_csr = _action_csr_from_chunks(int_chunks, len(pair_of_state))
+    markovian_csr = _rate_csr_from_chunks(mkv_chunks, len(pair_of_state))
     return pair_of_state, interactive_csr, markovian_csr
 
 
@@ -348,7 +343,7 @@ def _join_synchronised(
     return batch, action, code
 
 
-def _csr_from_chunks_interactive(
+def _action_csr_from_chunks(
     chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]], num_states: int
 ) -> InteractiveCSR:
     """Assemble the composite's interactive CSR from batched edge arrays."""
@@ -359,14 +354,10 @@ def _csr_from_chunks_interactive(
     else:  # pragma: no cover - a product always has at least one level
         src = act = tgt = np.empty(0, dtype=np.int64)
     order = np.argsort(src, kind="stable")
-    src, act, tgt = src[order], act[order], tgt[order]
-    indptr = csr_indptr(src, num_states)
-    return InteractiveCSR(
-        indptr, src.astype(np.int32), act.astype(np.int32), tgt.astype(np.int32)
-    )
+    return InteractiveCSR.from_edges(src[order], act[order], tgt[order], num_states)
 
 
-def _csr_from_chunks_markovian(
+def _rate_csr_from_chunks(
     chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]], num_states: int
 ) -> MarkovianCSR:
     """Assemble the composite's Markovian CSR from batched edge arrays."""
@@ -378,9 +369,7 @@ def _csr_from_chunks_markovian(
         src = tgt = np.empty(0, dtype=np.int64)
         rate = np.empty(0, dtype=np.float64)
     order = np.argsort(src, kind="stable")
-    src, rate, tgt = src[order], rate[order], tgt[order]
-    indptr = csr_indptr(src, num_states)
-    return MarkovianCSR(indptr, src.astype(np.int32), rate, tgt.astype(np.int32))
+    return MarkovianCSR.from_edges(src[order], rate[order], tgt[order], num_states)
 
 
 def compose_many(components: Sequence[IOIMC], name: str | None = None) -> IOIMC:

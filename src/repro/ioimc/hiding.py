@@ -16,12 +16,15 @@ from __future__ import annotations
 
 from typing import Iterable
 
+import numpy as np
+
 from .actions import TAU, Signature
+from .indexed import InteractiveCSR
 from .ioimc import IOIMC
 
 
-def hide(automaton: IOIMC, actions: Iterable[str], *, rename_to_tau: bool = True) -> IOIMC:
-    """Return ``hide actions in automaton``.
+def hide(automaton: IOIMC, actions: Iterable[str]) -> IOIMC:
+    """Return ``hide actions in automaton`` with the hidden actions renamed to ``tau``.
 
     Parameters
     ----------
@@ -30,64 +33,36 @@ def hide(automaton: IOIMC, actions: Iterable[str], *, rename_to_tau: bool = True
     actions:
         Output actions to hide.  Actions not present in the signature are
         silently ignored (this keeps the composer's hiding schedule simple).
-    rename_to_tau:
-        When ``True`` (default) hidden actions are renamed to ``tau``.
     """
-    to_hide = frozenset(actions) & automaton.signature.outputs
+    signature = automaton.signature
+    to_hide = frozenset(actions) & signature.outputs
     if not to_hide:
         return automaton
-    hidden_signature = automaton.signature.hide(to_hide)
-    if rename_to_tau:
-        internals = (hidden_signature.internals - to_hide) | {TAU}
-        signature = Signature(hidden_signature.inputs, hidden_signature.outputs, internals)
-        if automaton._interactive is None:
-            # Lazy automaton (built from CSR tables): hiding only renames
-            # actions, so the hidden automaton stays lazy and its index is
-            # the old one with a remapped action column (no per-edge work).
-            interactive = None
-        else:
-            # Rows without a hidden action are shared with the source
-            # automaton (transition tables are immutable by convention) — on
-            # the composer's hiding schedule most rows are untouched by any
-            # single hide step.
-            interactive = []
-            for row in automaton.interactive:
-                for action, _ in row:
-                    if action in to_hide:
-                        interactive.append(
-                            [
-                                (TAU if action in to_hide else action, target)
-                                for action, target in row
-                            ]
-                        )
-                        break
-                else:
-                    interactive.append(row)
-    else:
-        signature = hidden_signature
-        interactive = automaton.interactive
-    # Only the tau-renaming branch re-attaches a CSR index below; any other
-    # combination must hand over materialised rows (an automaton with None
-    # rows and no index would be unusable).
-    markovian = (
-        automaton._markovian if rename_to_tau and interactive is None
-        else automaton.markovian
+    hidden_signature = Signature(
+        signature.inputs, signature.outputs - to_hide, signature.internals | {TAU}
     )
-    hidden = IOIMC.trusted(
+    # Hiding only renames actions: the transition structure (row offsets,
+    # sources, targets, rates) is shared, only the action column is remapped.
+    index = automaton.index()
+    new_id_of = {
+        action: aid for aid, action in enumerate(sorted(hidden_signature.all_actions))
+    }
+    remap = np.fromiter(
+        (new_id_of[TAU if action in to_hide else action] for action in index.actions),
+        dtype=np.int32,
+        count=len(index.actions),
+    )
+    old = index.interactive_csr
+    return IOIMC.trusted(
         automaton.name,
-        signature,
+        hidden_signature,
         automaton.num_states,
         automaton.initial,
-        interactive,
-        markovian,
+        InteractiveCSR(old.indptr, old.source, remap[old.action], old.target),
+        index.markovian_csr,
         automaton.labels,
         automaton.state_names,
     )
-    if rename_to_tau and automaton._index is not None:
-        hidden._index = automaton._index.with_renamed_actions(
-            hidden, {action: TAU for action in to_hide}
-        )
-    return hidden
 
 
 def hide_all_outputs(automaton: IOIMC) -> IOIMC:

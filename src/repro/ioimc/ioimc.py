@@ -19,13 +19,14 @@ model is converted into a labelled CTMC.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from ..errors import InputEnablednessError, ModelError
-from ..nputil import csr_indptr, dedupe_packed_triples, gather_row_indices, rows_from_edges
+from ..nputil import dedupe_packed_triples, gather_row_indices
 from .actions import ActionKind, Signature, natural_sort_key
+from .indexed import InteractiveCSR, MarkovianCSR, TransitionIndex
 
 
 @dataclass(frozen=True)
@@ -48,6 +49,10 @@ class MarkovianTransition:
 
 class IOIMC:
     """An Input/Output Interactive Markov Chain.
+
+    The transitions live in the flat CSR tables of the automaton's
+    :class:`~repro.ioimc.indexed.TransitionIndex` (see :meth:`index`); the
+    row tables passed here are converted and validated once.
 
     Parameters
     ----------
@@ -74,12 +79,9 @@ class IOIMC:
         "signature",
         "num_states",
         "initial",
-        "_interactive",
-        "_markovian",
         "labels",
         "state_names",
         "_index",
-        "_transition_counts",
     )
 
     def __init__(
@@ -103,19 +105,48 @@ class IOIMC:
         self.signature = signature
         self.num_states = num_states
         self.initial = initial
-        self._interactive: list[list[tuple[str, int]]] | None = [
-            list(row) for row in interactive
-        ]
-        self._markovian: list[list[tuple[float, int]]] | None = [
-            list(row) for row in markovian
-        ]
         self.labels: dict[int, frozenset[str]] = {
             state: frozenset(props) for state, props in (labels or {}).items() if props
         }
         self.state_names = list(state_names) if state_names is not None else None
-        self._index = None
-        self._transition_counts = None
-        self._validate()
+        for state in self.labels:
+            if not 0 <= state < num_states:
+                raise ModelError(f"{name}: label attached to unknown state {state}")
+        if self.state_names is not None and len(self.state_names) != num_states:
+            raise ModelError(f"{name}: need exactly one state name per state")
+        interactive_csr, markovian_csr = self._tables_from_rows(interactive, markovian)
+        self._index = TransitionIndex(signature, num_states, interactive_csr, markovian_csr)
+
+    def _tables_from_rows(self, interactive, markovian):
+        """Validated CSR tables of per-state ``(action|rate, target)`` rows."""
+        id_of = {action: aid for aid, action in enumerate(sorted(self.signature.all_actions))}
+        names, action_targets, action_indptr, action_source = _flatten(interactive)
+        action = np.array([id_of.get(name, -1) for name in names], dtype=np.int32)
+        rates, rate_targets, rate_indptr, rate_source = _flatten(markovian)
+        rate = np.array(rates, dtype=np.float64)
+        if len(action) and action.min() < 0:
+            edge = int(np.argmin(action))
+            raise ModelError(
+                f"{self.name}: state {action_source[edge]} uses action "
+                f"{names[edge]!r} which is not declared in the signature"
+            )
+        invalid = ~((rate > 0) & (rate < np.inf))
+        if invalid.any():
+            edge = int(np.argmax(invalid))
+            raise ModelError(
+                f"{self.name}: state {rate_source[edge]} has a non-positive "
+                f"or non-finite Markovian rate {rate[edge]}"
+            )
+        for kind, targets in (("interactive", action_targets), ("Markovian", rate_targets)):
+            if len(targets) and (targets.min() < 0 or targets.max() >= self.num_states):
+                outside = (targets < 0) | (targets >= self.num_states)
+                raise ModelError(
+                    f"{self.name}: {kind} target {targets[np.argmax(outside)]} out of range"
+                )
+        return (
+            InteractiveCSR(action_indptr, action_source, action, action_targets.astype(np.int32)),
+            MarkovianCSR(rate_indptr, rate_source, rate, rate_targets.astype(np.int32)),
+        )
 
     @classmethod
     def trusted(
@@ -124,108 +155,62 @@ class IOIMC:
         signature: Signature,
         num_states: int,
         initial: int,
-        interactive: list[list[tuple[str, int]]],
-        markovian: list[list[tuple[float, int]]],
+        interactive_csr: InteractiveCSR,
+        markovian_csr: MarkovianCSR,
         labels: Mapping[int, frozenset[str]] | None = None,
         state_names: list[str] | None = None,
+        *,
+        interned: TransitionIndex | None = None,
     ) -> "IOIMC":
-        """Construct without validation or defensive copies (internal use only).
+        """Construct from CSR tables without validation (internal use only).
 
         The library's own transformations (composition, hiding, reductions,
-        quotients) produce transition tables that are valid by construction;
-        re-validating and re-copying them accounted for a measurable share of
-        the composition pipeline's runtime.  Callers hand over ownership of
-        ``interactive``/``markovian``/``state_names`` and must guarantee every
-        invariant that ``__init__`` checks.
+        quotients) produce transition tables that are valid by construction.
+        Callers hand over ownership of the tables and ``state_names`` and
+        must guarantee every invariant that ``__init__`` checks; the action
+        ids of ``interactive_csr`` index ``sorted(signature.all_actions)``.
+        ``interned`` is an index over the same action universe whose
+        interning tables the new automaton's index shares.
         """
         self = cls.__new__(cls)
         self.name = name
         self.signature = signature
         self.num_states = num_states
         self.initial = initial
-        self._interactive = interactive
-        self._markovian = markovian
         self.labels = {
             state: props for state, props in (labels or {}).items() if props
         }
         self.state_names = state_names
-        self._index = None
-        self._transition_counts = None
+        self._index = TransitionIndex(
+            signature, num_states, interactive_csr, markovian_csr, interned
+        )
         return self
 
-    def index(self):
-        """The cached :class:`~repro.ioimc.indexed.TransitionIndex` of this automaton."""
-        if self._index is None:
-            from .indexed import TransitionIndex
-
-            self._index = TransitionIndex(self)
+    def index(self) -> TransitionIndex:
+        """The :class:`~repro.ioimc.indexed.TransitionIndex` holding the transitions."""
         return self._index
 
     # ------------------------------------------------------------------ #
-    # transition tables
+    # row views
     # ------------------------------------------------------------------ #
-    # The library's own transformations construct automata from the flat CSR
-    # arrays of a pre-seeded TransitionIndex and leave the Python rows
-    # unmaterialised; the properties below rebuild them on first access (in
-    # CSR edge order, which is exactly the order an eager construction would
-    # have produced).  Invariant: whenever a row table is None, ``_index``
-    # carries explicit CSR tables for it.
+    # Read-only per-state views of the CSR tables, rebuilt on every access
+    # (in CSR edge order) for tests and rendering.  Library code works on
+    # the CSR tables of ``index()`` instead.
 
     @property
     def interactive(self) -> list[list[tuple[str, int]]]:
         """Per state, the ``(action, target)`` interactive transitions."""
-        rows = self._interactive
-        if rows is None:
-            csr = self._index.interactive_csr
-            names = np.array(self._index.actions)
-            rows = rows_from_edges(
-                csr.source,
-                names[csr.action].tolist(),
-                csr.target.tolist(),
-                self.num_states,
-            )
-            self._interactive = rows
-        return rows
+        csr = self._index.interactive_csr
+        names = self._index.actions
+        return _split_rows(
+            csr.indptr, [names[aid] for aid in csr.action.tolist()], csr.target.tolist()
+        )
 
     @property
     def markovian(self) -> list[list[tuple[float, int]]]:
         """Per state, the ``(rate, target)`` Markovian transitions."""
-        rows = self._markovian
-        if rows is None:
-            csr = self._index._markovian_csr
-            rows = rows_from_edges(
-                csr.source, csr.rate.tolist(), csr.target.tolist(), self.num_states
-            )
-            self._markovian = rows
-        return rows
-
-    # ------------------------------------------------------------------ #
-    # validation
-    # ------------------------------------------------------------------ #
-    def _validate(self) -> None:
-        known = self.signature.all_actions
-        for state, row in enumerate(self.interactive):
-            for action, target in row:
-                if action not in known:
-                    raise ModelError(
-                        f"{self.name}: state {state} uses action {action!r} "
-                        "which is not declared in the signature"
-                    )
-                if not 0 <= target < self.num_states:
-                    raise ModelError(f"{self.name}: interactive target {target} out of range")
-        for state, row in enumerate(self.markovian):
-            for rate, target in row:
-                if rate <= 0:
-                    raise ModelError(
-                        f"{self.name}: state {state} has a non-positive Markovian rate {rate}"
-                    )
-                if not 0 <= target < self.num_states:
-                    raise ModelError(f"{self.name}: Markovian target {target} out of range")
-        for state in self.labels:
-            if not 0 <= state < self.num_states:
-                raise ModelError(f"{self.name}: label attached to unknown state {state}")
-        if self.state_names is not None and len(self.state_names) != self.num_states:
-            raise ModelError(f"{self.name}: need exactly one state name per state")
+        csr = self._index.markovian_csr
+        return _split_rows(csr.indptr, csr.rate.tolist(), csr.target.tolist())
 
     # ------------------------------------------------------------------ #
     # basic queries
@@ -248,21 +233,24 @@ class IOIMC:
         """Kind of ``action`` in this automaton's signature."""
         return self.signature.kind_of(action)
 
+    def _action_row(self, state: int) -> list[tuple[str, int]]:
+        csr = self._index.interactive_csr
+        start, end = csr.indptr[state], csr.indptr[state + 1]
+        names = self._index.actions
+        return [
+            (names[aid], target)
+            for aid, target in zip(
+                csr.action[start:end].tolist(), csr.target[start:end].tolist()
+            )
+        ]
+
     def interactive_successors(self, state: int, action: str) -> list[int]:
         """Targets of all ``action`` transitions leaving ``state``."""
-        return [target for act, target in self.interactive[state] if act == action]
+        return [target for act, target in self._action_row(state) if act == action]
 
     def enabled_actions(self, state: int) -> set[str]:
         """All actions with at least one transition leaving ``state``."""
-        return {action for action, _ in self.interactive[state]}
-
-    def enabled_urgent_actions(self, state: int) -> set[str]:
-        """Output and internal actions enabled in ``state`` (cannot be delayed)."""
-        urgent = set()
-        for action, _ in self.interactive[state]:
-            if self.signature.kind_of(action) is not ActionKind.INPUT:
-                urgent.add(action)
-        return urgent
+        return {action for action, _ in self._action_row(state)}
 
     def is_stable(self, state: int) -> bool:
         """A state is *stable* when no output or internal transition is enabled.
@@ -270,32 +258,20 @@ class IOIMC:
         Only stable states may let time pass (maximal progress assumption);
         Markovian transitions are therefore only meaningful in stable states.
         """
-        return not self.enabled_urgent_actions(state)
+        return self._index.stable[state]
 
     def exit_rate(self, state: int) -> float:
         """Sum of the Markovian rates leaving ``state``."""
-        return sum(rate for rate, _ in self.markovian[state])
+        csr = self._index.markovian_csr
+        return sum(csr.rate[csr.indptr[state] : csr.indptr[state + 1]].tolist())
 
     def num_interactive_transitions(self) -> int:
         """Total number of interactive transitions."""
-        return self._counts()[0]
+        return self._index.interactive_csr.num_edges
 
     def num_markovian_transitions(self) -> int:
         """Total number of Markovian transitions."""
-        return self._counts()[1]
-
-    def _counts(self) -> tuple[int, int]:
-        if self._transition_counts is None:
-            if self._interactive is None:
-                interactive_count = self._index.interactive_csr.num_edges
-            else:
-                interactive_count = sum(len(row) for row in self._interactive)
-            if self._markovian is None:
-                markovian_count = self._index._markovian_csr.num_edges
-            else:
-                markovian_count = sum(len(row) for row in self._markovian)
-            self._transition_counts = (interactive_count, markovian_count)
-        return self._transition_counts
+        return self._index.markovian_csr.num_edges
 
     def num_transitions(self) -> int:
         """Total number of transitions of either kind."""
@@ -316,81 +292,71 @@ class IOIMC:
     # ------------------------------------------------------------------ #
     # input enabledness
     # ------------------------------------------------------------------ #
+    def _input_present(self) -> tuple[np.ndarray, np.ndarray]:
+        """Input action ids, and per state which of them have a transition."""
+        index = self._index
+        inputs = np.flatnonzero(index.input_flags)
+        column = np.zeros(len(index.actions), dtype=np.int64)
+        column[inputs] = np.arange(len(inputs))
+        csr = index.interactive_csr
+        is_input = index.input_flags[csr.action]
+        present = np.zeros((self.num_states, len(inputs)), dtype=bool)
+        present[csr.source[is_input], column[csr.action[is_input]]] = True
+        return inputs, present
+
     def missing_inputs(self, state: int) -> set[str]:
         """Input actions for which ``state`` has no explicit transition."""
         return set(self.signature.inputs) - self.enabled_actions(state)
 
     def check_input_enabled(self) -> None:
         """Raise :class:`InputEnablednessError` unless every state accepts every input."""
-        for state in self.states():
-            missing = self.missing_inputs(state)
-            if missing:
-                raise InputEnablednessError(
-                    f"{self.name}: state {self.state_name(state)} has no transition "
-                    f"for input action(s) {sorted(missing)}"
-                )
+        _, present = self._input_present()
+        lacking = np.flatnonzero(~present.all(axis=1))
+        if len(lacking):
+            state = int(lacking[0])
+            raise InputEnablednessError(
+                f"{self.name}: state {self.state_name(state)} has no transition "
+                f"for input action(s) {sorted(self.missing_inputs(state))}"
+            )
 
     def ensure_input_enabled(self) -> "IOIMC":
         """Return an equivalent I/O-IMC with explicit input self-loops added.
 
         The paper omits these self-loops in figures "for the sake of clarity";
         semantically a state without an explicit ``a?`` transition simply stays
-        put when ``a`` occurs.  This helper materialises that convention.
+        put when ``a`` occurs.  This helper materialises that convention: the
+        missing self-loops of a state follow its own edges, in natural action
+        name order.
         """
-        inputs = self.signature.inputs
-        if not inputs:
+        inputs, present = self._input_present()
+        if present.all():
             return self
-        if self._interactive is None and self._fully_input_enabled():
-            # CSR fast path: quotients/products of input-enabled automata are
-            # input-enabled already — confirm without materialising the rows.
-            return self
-        interactive: list[list[tuple[str, int]]] = []
-        changed = False
-        for state, row in enumerate(self.interactive):
-            missing = inputs - {action for action, _ in row}
-            if missing:
-                # Natural name order (not set hash order): the self-loop
-                # positions then depend only on the naming scheme, keeping
-                # replicated blocks structurally aligned for the cache.
-                interactive.append(
-                    list(row)
-                    + [
-                        (action, state)
-                        for action in sorted(missing, key=natural_sort_key)
-                    ]
-                )
-                changed = True
-            else:
-                interactive.append(row)
-        if not changed:
-            return self
+        # Natural name order (not set hash order): the self-loop positions
+        # then depend only on the naming scheme, keeping replicated blocks
+        # structurally aligned for the cache.
+        names = self._index.actions
+        natural = sorted(
+            range(len(inputs)), key=lambda k: natural_sort_key(names[inputs[k]])
+        )
+        missing_state, missing_column = np.nonzero(~present[:, natural])
+        csr = self._index.interactive_csr
+        source = np.concatenate([csr.source, missing_state])
+        order = np.argsort(source, kind="stable")
+        action = np.concatenate([csr.action, inputs[natural][missing_column]])
+        target = np.concatenate([csr.target, missing_state])
         return IOIMC.trusted(
             self.name,
             self.signature,
             self.num_states,
             self.initial,
-            interactive,
-            self.markovian,
+            InteractiveCSR.from_edges(
+                source[order], action[order], target[order], self.num_states
+            ),
+            self._index.markovian_csr,
             self.labels,
             self.state_names,
+            interned=self._index,
         )
-
-    def _fully_input_enabled(self) -> bool:
-        """Vectorised check that every state enables every input action."""
-        index = self._index
-        csr = index.interactive_csr
-        is_input_edge = index.input_flags[csr.action]
-        num_inputs = int(index.input_flags.sum())
-        if num_inputs == 0:
-            return True
-        pairs = np.unique(
-            csr.source[is_input_edge].astype(np.int64) * len(index.actions)
-            + csr.action[is_input_edge]
-        )
-        distinct_inputs = np.bincount(
-            pairs // len(index.actions), minlength=self.num_states
-        )
-        return bool((distinct_inputs == num_inputs).all())
 
     # ------------------------------------------------------------------ #
     # transformations
@@ -406,14 +372,12 @@ class IOIMC:
         states of a block have, by definition, the same cumulative rate into
         every other block.
 
-        Runs over the flat CSR arrays of the cached
-        :class:`~repro.ioimc.indexed.TransitionIndex`: the unioned
-        interactive rows are one ``np.unique`` over packed
-        ``(new source, action, new target)`` triples.
+        Runs over the flat CSR arrays: the unioned interactive rows are one
+        ``np.unique`` over packed ``(new source, action, new target)``
+        triples.
         """
-        index = self.index()
+        index = self._index
         interactive_csr = index.interactive_csr
-        markovian_csr = index.markovian_csr()
         block = np.fromiter(
             (mapping[old] for old in self.states()),
             dtype=np.int64,
@@ -431,16 +395,6 @@ class IOIMC:
         # One representative old state per new state: the first occurrence in
         # state order (new states without a preimage keep an empty row).
         present, representative = np.unique(block, return_index=True)
-        picked = gather_row_indices(markovian_csr.indptr, representative)
-        rate_src = rate_tgt = np.empty(0, dtype=np.int64)
-        rate_sum = np.empty(0, dtype=np.float64)
-        if len(picked):
-            pair = block[markovian_csr.source[picked]] * num_new_states + block[
-                markovian_csr.target[picked]
-            ]
-            unique_pairs, pair_index = np.unique(pair, return_inverse=True)
-            rate_sum = np.bincount(pair_index, weights=markovian_csr.rate[picked])
-            rate_src, rate_tgt = np.divmod(unique_pairs, num_new_states)
 
         labels: dict[int, set[str]] = {}
         for old, props in self.labels.items():
@@ -448,22 +402,17 @@ class IOIMC:
         names = [f"s{index}" for index in range(num_new_states)]
         for new, old in zip(present.tolist(), representative.tolist()):
             names[new] = self.state_name(old)
-        quotient = IOIMC.trusted(
+        return IOIMC.trusted(
             self.name,
             self.signature,
             num_new_states,
             mapping[self.initial],
-            None,  # rows materialise lazily from the index attached below
-            None,
+            InteractiveCSR.from_edges(new_src, action, new_tgt, num_new_states),
+            index.markovian_csr.lumped(block, representative, num_new_states),
             {state: frozenset(props) for state, props in labels.items()},
             names,
+            interned=index,
         )
-        quotient._index = index.derive(
-            quotient,
-            _interactive_csr_from_edges(new_src, action, new_tgt, num_new_states),
-            _markovian_csr_from_edges(rate_src, rate_sum, rate_tgt, num_new_states),
-        )
-        return quotient
 
     def restrict_to_reachable(self) -> "IOIMC":
         """Drop states that are unreachable from the initial state."""
@@ -471,21 +420,27 @@ class IOIMC:
         num_reachable = int(reachable.sum())
         if num_reachable == self.num_states:
             return self
-        index = self.index()
+        index = self._index
         order = np.flatnonzero(reachable)  # ascending old state ids
         new_of_old = np.full(self.num_states, -1, dtype=np.int64)
         new_of_old[order] = np.arange(num_reachable, dtype=np.int64)
 
         interactive_csr = index.interactive_csr
         picked = gather_row_indices(interactive_csr.indptr, order)
-        new_isrc = new_of_old[interactive_csr.source[picked]]
-        new_iact = interactive_csr.action[picked]
-        new_itgt = new_of_old[interactive_csr.target[picked]]
-        markovian_csr = index.markovian_csr()
+        interactive = InteractiveCSR.from_edges(
+            new_of_old[interactive_csr.source[picked]],
+            interactive_csr.action[picked],
+            new_of_old[interactive_csr.target[picked]],
+            num_reachable,
+        )
+        markovian_csr = index.markovian_csr
         picked = gather_row_indices(markovian_csr.indptr, order)
-        new_msrc = new_of_old[markovian_csr.source[picked]]
-        new_mrate = markovian_csr.rate[picked]
-        new_mtgt = new_of_old[markovian_csr.target[picked]]
+        markovian = MarkovianCSR.from_edges(
+            new_of_old[markovian_csr.source[picked]],
+            markovian_csr.rate[picked],
+            new_of_old[markovian_csr.target[picked]],
+            num_reachable,
+        )
         labels = {
             int(new_of_old[old]): props
             for old, props in self.labels.items()
@@ -496,22 +451,17 @@ class IOIMC:
             if self.state_names
             else None
         )
-        restricted = IOIMC.trusted(
+        return IOIMC.trusted(
             self.name,
             self.signature,
             num_reachable,
             int(new_of_old[self.initial]),
-            None,  # rows materialise lazily from the index attached below
-            None,
+            interactive,
+            markovian,
             labels,
             names,
+            interned=index,
         )
-        restricted._index = index.derive(
-            restricted,
-            _interactive_csr_from_edges(new_isrc, new_iact, new_itgt, num_reachable),
-            _markovian_csr_from_edges(new_msrc, new_mrate, new_mtgt, num_reachable),
-        )
-        return restricted
 
     def _reachable_mask(self):
         """Boolean mask of states reachable from the initial state.
@@ -520,9 +470,8 @@ class IOIMC:
         expanded per step, so the cost is a few array operations per level of
         the reachability tree instead of Python work per transition.
         """
-        index = self.index()
-        interactive_csr = index.interactive_csr
-        markovian_csr = index.markovian_csr()
+        interactive_csr = self._index.interactive_csr
+        markovian_csr = self._index.markovian_csr
         seen = np.zeros(self.num_states, dtype=bool)
         seen[self.initial] = True
         frontier = np.array([self.initial], dtype=np.int64)
@@ -542,59 +491,38 @@ class IOIMC:
             seen[frontier] = True
         return seen
 
-    def reachable_states(self) -> set[int]:
-        """Set of states reachable from the initial state."""
-        return set(np.flatnonzero(self._reachable_mask()).tolist())
-
     def renamed(self, name: str) -> "IOIMC":
-        """Return a shallow copy carrying a different automaton name."""
-        clone = IOIMC.trusted(
-            name,
-            self.signature,
-            self.num_states,
-            self.initial,
-            self._interactive,
-            self._markovian,
-            self.labels,
-            self.state_names,
-        )
-        if self._index is not None:
-            clone._index = self._index.derive(
-                clone, self._index.interactive_csr, self._index._markovian_csr
-            )
+        """Return a shallow copy carrying a different automaton name.
+
+        The copy shares the (immutable) transition index, labels and names.
+        """
+        clone = IOIMC.__new__(IOIMC)
+        for slot in IOIMC.__slots__:
+            setattr(clone, slot, getattr(self, slot))
+        clone.name = name
         return clone
 
     # ------------------------------------------------------------------ #
     # pickling
     # ------------------------------------------------------------------ #
     # An automaton crosses process boundaries (the composer's worker pool)
-    # in whichever of its two representations is authoritative: the Python
-    # row tables when no index was ever built, or the flat CSR arrays when
-    # one was.  Lazy caches (materialised rows, predecessor tables,
-    # transition counts) are never serialised — they are cheap to rebuild
-    # and would multiply the payload.  The lazy-row invariant survives by
-    # construction: a CSR-path automaton unpickles with rows ``None`` and an
-    # index whose Markovian CSR is explicit (materialised here if need be).
+    # as its CSR tables.  Derived caches (stability bits, predecessor
+    # tables, tau successor lists) are never serialised — they are cheap to
+    # rebuild and would multiply the payload.
 
     def __getstate__(self) -> dict:
-        state = {
+        icsr = self._index.interactive_csr
+        mcsr = self._index.markovian_csr
+        return {
             "name": self.name,
             "signature": self.signature,
             "num_states": self.num_states,
             "initial": self.initial,
             "labels": self.labels,
             "state_names": self.state_names,
+            "interactive_csr": (icsr.indptr, icsr.source, icsr.action, icsr.target),
+            "markovian_csr": (mcsr.indptr, mcsr.source, mcsr.rate, mcsr.target),
         }
-        index = self._index
-        if index is None:
-            state["interactive"] = self._interactive
-            state["markovian"] = self._markovian
-        else:
-            icsr = index.interactive_csr
-            mcsr = index.markovian_csr()
-            state["interactive_csr"] = (icsr.indptr, icsr.source, icsr.action, icsr.target)
-            state["markovian_csr"] = (mcsr.indptr, mcsr.source, mcsr.rate, mcsr.target)
-        return state
 
     def __setstate__(self, state: dict) -> None:
         self.name = state["name"]
@@ -603,21 +531,12 @@ class IOIMC:
         self.initial = state["initial"]
         self.labels = state["labels"]
         self.state_names = state["state_names"]
-        self._transition_counts = None
-        if "interactive_csr" in state:
-            from .indexed import InteractiveCSR, MarkovianCSR, TransitionIndex
-
-            self._interactive = None
-            self._markovian = None
-            self._index = TransitionIndex.from_tables(
-                self,
-                InteractiveCSR(*state["interactive_csr"]),
-                MarkovianCSR(*state["markovian_csr"]),
-            )
-        else:
-            self._interactive = state["interactive"]
-            self._markovian = state["markovian"]
-            self._index = None
+        self._index = TransitionIndex(
+            self.signature,
+            self.num_states,
+            InteractiveCSR(*state["interactive_csr"]),
+            MarkovianCSR(*state["markovian_csr"]),
+        )
 
     # ------------------------------------------------------------------ #
     # dunder helpers
@@ -631,40 +550,22 @@ class IOIMC:
 
     def summary(self) -> dict[str, int]:
         """Size statistics used by the benchmarks."""
-        return {
-            "states": self.num_states,
-            "interactive_transitions": self.num_interactive_transitions(),
-            "markovian_transitions": self.num_markovian_transitions(),
-            "transitions": self.num_transitions(),
-        }
+        return self._index.summary()
 
 
-def _interactive_csr_from_edges(source, action, target, num_rows: int):
-    """Interactive CSR from aligned edge columns (``source`` sorted)."""
-    from .indexed import InteractiveCSR
 
-    indptr = csr_indptr(source, num_rows)
-    return InteractiveCSR(
-        indptr,
-        source.astype(np.int32),
-        action.astype(np.int32),
-        target.astype(np.int32),
-    )
+def _flatten(rows) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
+    """``(first components, int64 targets, indptr, int32 sources)`` of per-state rows."""
+    edges = [edge for row in rows for edge in row]
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(row) for row in rows], out=indptr[1:])
+    source = np.repeat(np.arange(len(rows), dtype=np.int32), np.diff(indptr))
+    targets = np.array([target for _, target in edges], dtype=np.int64)
+    return [first for first, _ in edges], targets, indptr, source
 
 
-def _markovian_csr_from_edges(source, rate, target, num_rows: int):
-    """Markovian CSR from aligned edge columns (``source`` sorted)."""
-    from .indexed import MarkovianCSR
-
-    indptr = csr_indptr(source, num_rows)
-    return MarkovianCSR(
-        indptr, source.astype(np.int32), np.asarray(rate), target.astype(np.int32)
-    )
-
-
-def merge_label_sets(label_sets: Iterable[frozenset[str]]) -> frozenset[str]:
-    """Union of several label sets (helper shared by composition and lumping)."""
-    merged: set[str] = set()
-    for labels in label_sets:
-        merged.update(labels)
-    return frozenset(merged)
+def _split_rows(indptr: np.ndarray, first: list, second: list) -> list[list]:
+    """Per-row lists of ``(first, second)`` pairs of aligned CSR edge columns."""
+    flat = list(zip(first, second))
+    bounds = indptr.tolist()  # plain ints: list slicing is ~2x faster than int64
+    return [flat[start:end] for start, end in zip(bounds, bounds[1:])]

@@ -30,6 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..ioimc import IOIMC
+from ..ioimc.indexed import InteractiveCSR
 from ..nputil import gather_row_indices, round_rates_to_ids
 from .refinement import group_states_by_code_sets
 
@@ -105,55 +106,59 @@ def quotient_modulo_inert_tau(automaton: IOIMC, partition) -> IOIMC:
     members: all stable members of a class agree on their cumulative rates by
     construction of either partition, and unstable members cannot let time
     pass (maximal progress).
+
+    Built from the partition in one pass over the edge arrays (Derisavi,
+    Hermanns & Sanders, "Optimal state-space lumping in Markov chains", IPL
+    2003): each class's moves are listed in order of first occurrence over
+    its members in state order, and its representative — the first stable
+    member, else the first member — supplies name, labels and rates.
     """
     index = automaton.index()
-    block_of = partition.block_of
+    block = np.asarray(partition.block_of, dtype=np.int64)
     num_blocks = partition.num_blocks
-    stable = index.stable
-    internals = automaton.signature.internals
+    states = np.arange(automaton.num_states, dtype=np.int64)
 
-    #: Per class: a member whose name/labels/rates describe the class —
-    #: stable members are preferred (they carry the tangible behaviour).
-    representative: list[int | None] = [None] * num_blocks
-    interactive: list[list[tuple[str, int]]] = [[] for _ in range(num_blocks)]
-    seen: list[set[tuple[str, int]]] = [set() for _ in range(num_blocks)]
-    for state in automaton.states():
-        block = block_of[state]
-        current = representative[block]
-        if current is None or (stable[state] and not stable[current]):
-            representative[block] = state
-        for action, target in automaton.interactive[state]:
-            target_block = block_of[target]
-            if target_block == block and action in internals:
-                continue  # inert: internal move inside the class
-            entry = (action, target_block)
-            if entry not in seen[block]:
-                seen[block].add(entry)
-                interactive[block].append(entry)
+    # Representative per class: sort by (class, unstable, state), take heads.
+    order = np.lexsort((states, ~index.stable_flags, block))
+    heads = np.ones(len(order), dtype=bool)
+    heads[1:] = block[order[1:]] != block[order[:-1]]
+    representative = order[heads]
 
-    markovian: list[list[tuple[float, int]]] = [[] for _ in range(num_blocks)]
-    labels: dict[int, frozenset[str]] = {}
-    names: list[str] = []
-    for block, state in enumerate(representative):
-        assert state is not None
-        names.append(automaton.state_name(state))
-        props = automaton.label_of(state)
-        if props:
-            labels[block] = props
-        rates: dict[int, float] = {}
-        for rate, target in automaton.markovian[state]:
-            rates[block_of[target]] = rates.get(block_of[target], 0.0) + rate
-        markovian[block] = [(rate, target) for target, rate in sorted(rates.items())]
+    # Interactive moves: drop inert ones, keep each (class, action, target
+    # class) at its first occurrence, then group by class (stable sort).
+    # The packed int64 code needs num_blocks**2 * num_actions < 2**63,
+    # i.e. below ~10**8 classes even with a thousand actions.
+    csr = index.interactive_csr
+    source_block = block[csr.source]
+    target_block = block[csr.target]
+    action = csr.action.astype(np.int64)
+    moves = np.flatnonzero(
+        (source_block != target_block) | ~index.internal_flags[csr.action]
+    )
+    code = (
+        source_block[moves] * len(index.actions) + action[moves]
+    ) * num_blocks + target_block[moves]
+    _, first = np.unique(code, return_index=True)
+    moves = moves[np.sort(first)]
+    moves = moves[np.argsort(source_block[moves], kind="stable")]
 
+    names = [automaton.state_name(state) for state in representative.tolist()]
+    labels = {
+        klass: automaton.label_of(state)
+        for klass, state in enumerate(representative.tolist())
+    }
     quotient = IOIMC.trusted(
         automaton.name,
         automaton.signature,
         num_blocks,
-        block_of[automaton.initial],
-        interactive,
-        markovian,
+        int(block[automaton.initial]),
+        InteractiveCSR.from_edges(
+            source_block[moves], action[moves], target_block[moves], num_blocks
+        ),
+        index.markovian_csr.lumped(block, representative, num_blocks),
         labels,
         names,
+        interned=index,
     )
     return quotient.restrict_to_reachable()
 

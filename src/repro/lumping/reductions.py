@@ -20,9 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..ioimc import IOIMC
-from ..ioimc.indexed import MarkovianCSR
-from ..ioimc.ioimc import _interactive_csr_from_edges, _markovian_csr_from_edges
-from ..nputil import csr_indptr, dedupe_packed_triples, gather_row_indices
+from ..ioimc.indexed import InteractiveCSR, MarkovianCSR
+from ..nputil import dedupe_packed_triples, gather_row_indices
 
 
 def maximal_progress_cut(automaton: IOIMC) -> IOIMC:
@@ -33,31 +32,27 @@ def maximal_progress_cut(automaton: IOIMC) -> IOIMC:
     the state.
     """
     index = automaton.index()
-    markovian_csr = index.markovian_csr()
+    markovian_csr = index.markovian_csr
     keep = index.stable_flags[markovian_csr.source]
     if bool(keep.all()):
         return automaton
-    cut = IOIMC.trusted(
+    # The interactive table is untouched: only the Markovian CSR is filtered.
+    return IOIMC.trusted(
         automaton.name,
         automaton.signature,
         automaton.num_states,
         automaton.initial,
-        automaton._interactive,  # shared (possibly still unmaterialised) rows
-        None,
+        index.interactive_csr,
+        MarkovianCSR.from_edges(
+            markovian_csr.source[keep],
+            markovian_csr.rate[keep],
+            markovian_csr.target[keep],
+            automaton.num_states,
+        ),
         automaton.labels,
         automaton.state_names,
+        interned=index,
     )
-    source = markovian_csr.source[keep]
-    indptr = csr_indptr(source, automaton.num_states)
-    # The interactive table is untouched: share the interned-action index,
-    # swapping in the filtered Markovian CSR.
-    cut._index = index.adopt(
-        cut,
-        MarkovianCSR(
-            indptr, source, markovian_csr.rate[keep], markovian_csr.target[keep]
-        ),
-    )
-    return cut
 
 
 def eliminate_vanishing_chains(automaton: IOIMC) -> IOIMC:
@@ -80,7 +75,7 @@ def eliminate_vanishing_chains(automaton: IOIMC) -> IOIMC:
         return automaton  # no internal actions, hence no vanishing chains
     index = automaton.index()
     interactive_csr = index.interactive_csr
-    markovian_csr = index.markovian_csr()
+    markovian_csr = index.markovian_csr
     num_states = automaton.num_states
     states = np.arange(num_states, dtype=np.int64)
 
@@ -92,11 +87,11 @@ def eliminate_vanishing_chains(automaton: IOIMC) -> IOIMC:
     internal_edge = index.internal_flags[interactive_csr.action]
     input_self_loop = index.input_flags[interactive_csr.action] & (target == source)
     disqualifying = ~internal_edge & ~input_self_loop
-    has_markovian = markovian_csr.indptr[1:] > markovian_csr.indptr[:-1]
+    has_rates = markovian_csr.indptr[1:] > markovian_csr.indptr[:-1]
     single_target = np.full(num_states, -1, dtype=np.int64)
     single_target[source[internal_edge]] = target[internal_edge]
     vanishing = (
-        ~has_markovian
+        ~has_rates
         & (np.bincount(source[internal_edge], minlength=num_states) == 1)
         & (np.bincount(source[disqualifying], minlength=num_states) == 0)
         & (single_target != states)
@@ -143,9 +138,12 @@ def eliminate_vanishing_chains(automaton: IOIMC) -> IOIMC:
     )
     picked = gather_row_indices(markovian_csr.indptr, kept)
     counts = markovian_csr.indptr[kept + 1] - markovian_csr.indptr[kept]
-    new_msrc = np.repeat(np.arange(num_kept, dtype=np.int64), counts)
-    new_mrate = markovian_csr.rate[picked]
-    new_mtgt = mapping[markovian_csr.target[picked]]
+    markovian = MarkovianCSR.from_edges(
+        np.repeat(np.arange(num_kept, dtype=np.int64), counts),
+        markovian_csr.rate[picked],
+        mapping[markovian_csr.target[picked]],
+        num_kept,
+    )
     # Labels of eliminated states are dropped (see above); kept states map
     # one-to-one, so their label sets carry over unchanged.
     labels = {
@@ -160,15 +158,11 @@ def eliminate_vanishing_chains(automaton: IOIMC) -> IOIMC:
         automaton.signature,
         num_kept,
         int(mapping[automaton.initial]),
-        None,  # rows materialise lazily from the index attached below
-        None,
+        InteractiveCSR.from_edges(new_src, action, new_tgt, num_kept),
+        markovian,
         labels,
         names,
-    )
-    reduced._index = index.derive(
-        reduced,
-        _interactive_csr_from_edges(new_src, action, new_tgt, num_kept),
-        _markovian_csr_from_edges(new_msrc, new_mrate, new_mtgt, num_kept),
+        interned=index,
     )
     return reduced.restrict_to_reachable()
 

@@ -72,7 +72,7 @@ def strong_bisimulation_partition(
         initial_keys = [frozenset()] * automaton.num_states
 
     interactive = index.interactive_csr
-    markovian = index.markovian_csr()
+    markovian = index.markovian_csr
     num_actions = len(index.actions)
 
     def signature_edges(

@@ -85,7 +85,7 @@ def weak_bisimulation_partition(
     internal_successors = index.internal_successors
     is_visible_action = index.is_visible
     stable = index.stable
-    markovian_csr = index.markovian_csr()
+    markovian_csr = index.markovian_csr
     num_states = automaton.num_states
     num_actions = len(index.actions)
 
@@ -147,8 +147,8 @@ def weak_bisimulation_partition(
     # rejected by the validation pass below.
     rate_source = markovian_csr.source
     rate_first_landing = np.zeros(markovian_csr.num_edges, dtype=np.int64)
-    stable_flags = index.stable_flags
-    for edge in np.flatnonzero(stable_flags[rate_source]).tolist():
+    stable_rate_edges = np.flatnonzero(index.stable_flags[rate_source])
+    for edge in stable_rate_edges.tolist():
         rate_first_landing[edge] = attribution_states(
             int(markovian_csr.target[edge])
         )[0]
@@ -222,17 +222,17 @@ def weak_bisimulation_partition(
     # hence any ambiguity persists into the final partition: one validation
     # pass over the stable states catches every case.
     block_of = partition.block_of
-    for post in range(num_states):
-        if not stable[post]:
-            continue
-        for rate, target in automaton.markovian[post]:
-            landing_blocks = {
-                block_of[landing] for landing in attribution_states(target)
-            }
-            if len(landing_blocks) > 1:
-                raise _ambiguous_attribution(
-                    automaton, post, rate, target, landing_blocks
-                )
+    for edge in stable_rate_edges.tolist():
+        target = int(markovian_csr.target[edge])
+        landing_blocks = {block_of[landing] for landing in attribution_states(target)}
+        if len(landing_blocks) > 1:
+            raise _ambiguous_attribution(
+                automaton,
+                int(rate_source[edge]),
+                float(markovian_csr.rate[edge]),
+                target,
+                landing_blocks,
+            )
     return partition
 
 

@@ -82,20 +82,6 @@ def dedupe_packed_triples(
     return a, b, c
 
 
-def rows_from_edges(source: np.ndarray, first, second, num_rows: int) -> list[list]:
-    """Split aligned edge columns into per-row lists of ``(first, second)``.
-
-    ``source`` must be sorted ascending (edges grouped by row); ``first`` and
-    ``second`` are Python lists aligned with it.  This is the fast path for
-    materialising :class:`~repro.ioimc.IOIMC` transition tables from flat
-    arrays: one ``zip`` over the whole edge set, then views per row.
-    """
-    indptr = csr_indptr(source, num_rows)
-    flat = list(zip(first, second))
-    bounds = indptr.tolist()  # plain ints: list slicing is ~2x faster than int64
-    return [flat[start:end] for start, end in zip(bounds, bounds[1:])]
-
-
 def round_rates_to_ids(sums: np.ndarray) -> tuple[np.ndarray, int]:
     """Intern float rate sums to small ids after 10-significant-digit rounding.
 
@@ -119,5 +105,4 @@ __all__ = [
     "first_occurrence_renumber",
     "gather_row_indices",
     "round_rates_to_ids",
-    "rows_from_edges",
 ]

@@ -122,7 +122,7 @@ def _entry_metadata(key: str, entry: CacheEntry) -> dict:
 def _entry_arrays(entry: CacheEntry) -> dict[str, np.ndarray]:
     index = entry.automaton.index()
     icsr = index.interactive_csr
-    mcsr = index.markovian_csr()
+    mcsr = index.markovian_csr
     return {
         "ii": icsr.indptr,
         "is": icsr.source,

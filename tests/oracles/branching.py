@@ -29,6 +29,7 @@ def branching_partition_reference(
     internal_successors = index.internal_successors
     is_visible = index.is_visible
     stable = index.stable
+    markovian = automaton.markovian
 
     if respect_labels:
         keys = [automaton.label_of(state) for state in automaton.states()]
@@ -56,7 +57,7 @@ def branching_partition_reference(
                     elements.add(("tau", block_of[target]))
             if stable[member]:
                 rates: dict[int, float] = {}
-                for rate, target in automaton.markovian[member]:
+                for rate, target in markovian[member]:
                     landing = block_of[target]
                     rates[landing] = rates.get(landing, 0.0) + rate
                 elements.add(

@@ -1,18 +1,20 @@
-"""Property tests: the CSR backend round-trips with the row representation.
+"""Property tests: the CSR tables round-trip with the row views.
 
-The vectorised engines (refinement, batched composition, the structural
-reductions) operate exclusively on the flat CSR arrays of
-:class:`repro.ioimc.TransitionIndex`; the Python list-of-rows tables remain
-the source of truth for the scalar code paths and may now be *materialised
-from* the CSR arrays (lazy automata).  These tests pin the equivalence in
-both directions on the differential-suite model generator:
+An I/O-IMC stores its transitions only as the flat CSR arrays of its
+:class:`repro.ioimc.TransitionIndex`; the validating constructor converts
+per-state rows into them once, and ``interactive``/``markovian`` are
+read-only row views rebuilt from them.  These tests pin the equivalence on
+the differential-suite model generator:
 
-* rows -> CSR: the flat arrays describe exactly the automaton's transitions,
-  in transition order, with deterministic action interning;
-* CSR -> rows: automata built lazily from arrays (products, quotients)
-  materialise rows that pass full validation and describe the same
-  transitions as their CSR tables.
+* the views describe exactly the CSR edges, in transition order, with
+  deterministic action interning;
+* rows -> CSR -> rows -> CSR is the identity, for automata built from rows
+  (building blocks) and for automata built from arrays (products,
+  quotients) alike, and the views pass full validation;
+* pickling ships the CSR tables and restores an equal automaton.
 """
+
+import pickle
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ import pytest
 from differential.generators import random_arcade_model
 
 from repro.arcade.semantics import translate_model
-from repro.ioimc import compose, hide
+from repro.ioimc import IOIMC, ActionKind, compose, hide
 from repro.lumping import eliminate_vanishing_chains, maximal_progress_cut, minimize_strong
 
 SEEDS = range(8)
@@ -34,7 +36,7 @@ def rows_from_csr(automaton):
     """Reconstruct (interactive, markovian) list-of-rows from the CSR arrays."""
     index = automaton.index()
     icsr = index.interactive_csr
-    mcsr = index.markovian_csr()
+    mcsr = index.markovian_csr
     interactive = [[] for _ in automaton.states()]
     for source, action, target in zip(
         icsr.source.tolist(), icsr.action.tolist(), icsr.target.tolist()
@@ -46,6 +48,31 @@ def rows_from_csr(automaton):
     ):
         markovian[source].append((rate, target))
     return interactive, markovian
+
+
+def rebuilt(automaton):
+    """The automaton rebuilt by the validating constructor from its views."""
+    return IOIMC(
+        automaton.name,
+        automaton.signature,
+        automaton.num_states,
+        automaton.initial,
+        automaton.interactive,
+        automaton.markovian,
+        automaton.labels,
+        automaton.state_names,
+    )
+
+
+def assert_same_tables(left, right):
+    for name in ("indptr", "source", "action", "target"):
+        a = getattr(left.index().interactive_csr, name)
+        b = getattr(right.index().interactive_csr, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    for name in ("indptr", "source", "rate", "target"):
+        a = getattr(left.index().markovian_csr, name)
+        b = getattr(right.index().markovian_csr, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 def assert_csr_matches_rows(automaton):
@@ -65,31 +92,20 @@ def assert_csr_matches_rows(automaton):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_building_block_round_trip(seed):
-    """Eagerly built automata: rows -> CSR -> rows is the identity."""
+    """Automata built from rows: rows -> CSR -> rows -> CSR is the identity."""
     for block in blocks_of(seed):
         assert_csr_matches_rows(block)
+        assert_same_tables(rebuilt(block), block)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_lazy_product_round_trip_and_validation(seed):
-    """Lazily built products materialise rows equal to their CSR tables."""
+def test_product_round_trip_and_validation(seed):
+    """Products built from arrays have views that rebuild the same tables."""
     blocks = blocks_of(seed)
     composite = compose(blocks[0], blocks[1])
-    assert composite._interactive is None  # built from arrays, rows pending
     assert_csr_matches_rows(composite)
-    # The materialised tables pass the full (validating) constructor.
-    from repro.ioimc import IOIMC
-
-    IOIMC(
-        composite.name,
-        composite.signature,
-        composite.num_states,
-        composite.initial,
-        composite.interactive,
-        composite.markovian,
-        composite.labels,
-        composite.state_names,
-    )
+    # The views pass the full (validating) constructor.
+    assert_same_tables(rebuilt(composite), composite)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -103,94 +119,86 @@ def test_pipeline_stages_round_trip(seed):
     quotient = minimize_strong(reduced.restrict_to_reachable()).quotient
     for automaton in (hidden, cut, reduced, quotient):
         assert_csr_matches_rows(automaton)
+        assert_same_tables(rebuilt(automaton), automaton)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_stability_and_predecessors_match_scalar_queries(seed):
     for block in blocks_of(seed):
         index = block.index()
+        interactive, markovian = block.interactive, block.markovian
         for state in block.states():
-            assert index.stable[state] == block.is_stable(state)
+            urgent = any(
+                block.kind_of(action) is not ActionKind.INPUT
+                for action, _ in interactive[state]
+            )
+            assert index.stable[state] == (not urgent)
         indptr, sources = index.predecessor_csr()
         for state in block.states():
             span = sources[indptr[state] : indptr[state + 1]].tolist()
-            assert span == index.predecessors()[state]
             expected = sorted(
                 {
                     source
                     for source in block.states()
-                    if any(t == state for _, t in block.interactive[source])
-                    or any(t == state for _, t in block.markovian[source])
+                    if any(t == state for _, t in interactive[source])
+                    or any(t == state for _, t in markovian[source])
                 }
             )
             assert span == expected
 
 
-def test_summary_counts_do_not_materialise_lazy_rows():
+def test_summary_counts_match_csr_tables():
     blocks = blocks_of(0)
     composite = compose(blocks[0], blocks[1])
     summary = composite.summary()
-    assert composite._interactive is None and composite._markovian is None
     index = composite.index()
     assert summary["interactive_transitions"] == index.interactive_csr.num_edges
-    assert summary["markovian_transitions"] == index.markovian_csr().num_edges
+    assert summary["markovian_transitions"] == index.markovian_csr.num_edges
+    assert summary["interactive_transitions"] == sum(map(len, composite.interactive))
+    assert summary["markovian_transitions"] == sum(map(len, composite.markovian))
     assert summary["states"] == composite.num_states
 
 
 class TestPickleRoundTrip:
-    """Regression: pickling must preserve the lazy-CSR invariant.
+    """Pickling ships the CSR tables; the index is rebuilt from them.
 
-    The naive ``__dict__``-free pickling of the slotted :class:`IOIMC` used
-    to ship ``_interactive=None`` automata without their explicit CSR
-    tables, so the unpickled copy could neither materialise rows nor serve
-    ``markovian`` (which reads the index's Markovian CSR directly).  The
-    parallel composer ships exactly such automata between processes.
+    The parallel composer ships automata between processes, so an unpickled
+    automaton must carry equal tables and equal derived data.
     """
+
+    @staticmethod
+    def assert_round_trip(automaton):
+        restored = pickle.loads(pickle.dumps(automaton))
+        assert restored.index() is not automaton.index()
+        assert_same_tables(restored, automaton)
+        assert restored.labels == automaton.labels
+        assert restored.state_names == automaton.state_names
+        assert restored.index().stable == automaton.index().stable
+        assert_csr_matches_rows(restored)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_eager_round_trip(self, seed):
-        import pickle
-
+        """Automata built by the validating constructor from rows."""
         for block in blocks_of(seed):
-            restored = pickle.loads(pickle.dumps(block))
-            assert restored._index is None or restored._index.automaton is restored
-            assert [list(r) for r in restored.interactive] == [
-                list(r) for r in block.interactive
-            ]
-            assert [list(r) for r in restored.markovian] == [
-                list(r) for r in block.markovian
-            ]
-            assert_csr_matches_rows(restored)
+            self.assert_round_trip(block)
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_lazy_round_trip_keeps_rows_lazy(self, seed):
-        import pickle
-
+    def test_product_round_trip(self, seed):
+        """Automata built from arrays by a transformation."""
         blocks = blocks_of(seed)
-        composite = compose(blocks[0], blocks[1])
-        assert composite._interactive is None
-        restored = pickle.loads(pickle.dumps(composite))
-        # Still lazy after the round trip, with an index that points back at
-        # its own automaton — not at the original object.
-        assert restored._interactive is None and restored._markovian is None
-        assert restored._index is not None
-        assert restored._index.automaton is restored
-        assert rows_from_csr(restored) == rows_from_csr(composite)
-        assert_csr_matches_rows(restored)
+        self.assert_round_trip(compose(blocks[0], blocks[1]))
 
     def test_payload_stays_single_representation(self):
-        """Materialising rows or predecessors must not grow the pickle.
+        """Building row views or predecessors must not grow the pickle.
 
-        An indexed automaton pickles its CSR tables only; the derived
-        structures (row lists, predecessor CSR, stability) are rebuilt on
-        demand after unpickling.
+        An automaton pickles its CSR tables only; the derived structures
+        (row views, predecessor CSR, stability) are rebuilt on demand after
+        unpickling.
         """
-        import pickle
-
         blocks = blocks_of(0)
         composite = compose(blocks[0], blocks[1])
-        composite.index().predecessors()
         baseline = len(pickle.dumps(composite))
-        _ = composite.interactive  # materialise rows
+        _ = composite.interactive
         composite.index().predecessor_csr()
+        composite.index().interactive_ids()
         assert len(pickle.dumps(composite)) == baseline

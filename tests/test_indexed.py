@@ -53,18 +53,20 @@ class TestTransitionIndex:
                 assert index.actions[action_id] == action
                 assert id_target == target
 
-    def test_sorted_interactive_is_sorted(self, automaton):
-        for row in automaton.index().sorted_interactive():
-            assert row == sorted(row)
-
     def test_predecessors_cover_both_transition_kinds(self, automaton):
         index = automaton.index()
         by_name = {automaton.state_name(s): s for s in automaton.states()}
+        indptr, sources = index.predecessor_csr()
+
+        def predecessors(name):
+            state = by_name[name]
+            return sources[indptr[state] : indptr[state + 1]].tolist()
+
         # a is reached by c's Markovian transition and its own input self-loop.
-        assert by_name["c"] in index.predecessors()[by_name["a"]]
-        assert by_name["a"] in index.predecessors()[by_name["a"]]
+        assert by_name["c"] in predecessors("a")
+        assert by_name["a"] in predecessors("a")
         # b is reached from a (plus its own materialised input self-loop).
-        assert set(index.predecessors()[by_name["b"]]) == {by_name["a"], by_name["b"]}
+        assert predecessors("b") == sorted({by_name["a"], by_name["b"]})
 
     def test_tau_closure(self, automaton):
         index = automaton.index()
@@ -73,12 +75,21 @@ class TestTransitionIndex:
         assert closure[by_name["a"]] == sorted({by_name["a"], by_name["b"]})
         assert closure[by_name["c"]] == [by_name["c"]]
 
-    def test_adopt_shares_interactive_tables(self, automaton):
+    def test_cut_shares_interactive_csr(self):
+        builder = IOIMCBuilder("cut", Signature.create(outputs={"done"}))
+        builder.state("a", initial=True)
+        builder.interactive("a", "done", "b")
+        builder.markovian("a", 1.0, "b")  # a is unstable: this rate is cut
+        builder.markovian("b", 2.0, "a")
+        automaton = builder.build()
         index = automaton.index()
         cut = maximal_progress_cut(automaton)
-        # The cut shares its interactive table, so the adopted index must
-        # share the interactive-derived caches but rebuild predecessors.
-        assert cut is automaton or cut.index().stable is index.stable
+        # The cut only filters Markovian edges: it shares the interactive
+        # CSR and the interning tables, and stability is unchanged.
+        assert cut.num_markovian_transitions() == 1
+        assert cut.index().interactive_csr is index.interactive_csr
+        assert cut.index().id_of is index.id_of
+        assert cut.index().stable == index.stable
 
     def test_visibility_flags(self, automaton):
         index = automaton.index()

@@ -122,6 +122,26 @@ class TestIOIMCStructure:
         with pytest.raises(ModelError):
             IOIMC("bad", Signature.create(), 1, 0, [[]], [[(-1.0, 0)]])
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_rejects_non_finite_rate(self, rate):
+        with pytest.raises(ModelError, match="non-finite"):
+            IOIMC("bad", Signature.create(), 2, 0, [[], []], [[(1.0, 1)], [(rate, 0)]])
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_builder_rejects_non_finite_rate(self, rate):
+        builder = IOIMCBuilder("bad", Signature.create())
+        builder.state("s", initial=True)
+        with pytest.raises(ModelError, match="finite"):
+            builder.markovian("s", rate, "t")
+
+    def test_rejects_undeclared_action_and_bad_target(self):
+        with pytest.raises(ModelError, match="not declared"):
+            IOIMC("bad", Signature.create(), 1, 0, [[("x", 0)]], [[]])
+        with pytest.raises(ModelError, match="out of range"):
+            IOIMC("bad", Signature.create(outputs={"x"}), 1, 0, [[("x", 1)]], [[]])
+        with pytest.raises(ModelError, match="out of range"):
+            IOIMC("bad", Signature.create(), 1, 0, [[]], [[(1.0, -1)]])
+
     def test_labels_preserved(self):
         builder = IOIMCBuilder("l", Signature.create())
         builder.state("s", initial=True, labels={"down"})

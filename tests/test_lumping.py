@@ -241,17 +241,15 @@ class TestWeakRateAttribution:
 
 def interactive_structure(automaton):
     """Per state: the deduplicated, sorted ``(action, target)`` moves."""
-    return [
-        sorted(set(automaton.interactive[state])) for state in automaton.states()
-    ]
+    return [sorted(set(row)) for row in automaton.interactive]
 
 
 def markovian_structure(automaton):
     """Per state: cumulative Markovian rate per target state."""
     structure = []
-    for state in automaton.states():
+    for row in automaton.markovian:
         rates: dict[int, float] = {}
-        for rate, target in automaton.markovian[state]:
+        for rate, target in row:
             rates[target] = rates.get(target, 0.0) + rate
         structure.append(rates)
     return structure
@@ -360,14 +358,15 @@ def reference_strong_partition(automaton):
     reference = Partition.from_keys(
         [automaton.label_of(state) for state in automaton.states()]
     )
+    interactive_rows, markovian_rows = automaton.interactive, automaton.markovian
 
     def signature(state):
         interactive = frozenset(
             (action, reference.block_of[target])
-            for action, target in automaton.interactive[state]
+            for action, target in interactive_rows[state]
         )
         rates = {}
-        for rate, target in automaton.markovian[state]:
+        for rate, target in markovian_rows[state]:
             block = reference.block_of[target]
             rates[block] = rates.get(block, 0.0) + rate
         markovian = tuple(

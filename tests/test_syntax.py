@@ -73,6 +73,10 @@ class TestNumberAndDistributionParsing:
         with pytest.raises(SyntaxParseError):
             parse_number("one half")
 
+    def test_division_by_zero_rejected(self):
+        with pytest.raises(SyntaxParseError, match="division by zero"):
+            parse_number("1/0")
+
     def test_exponential(self):
         distribution = parse_distribution("exp(0.25)")
         assert distribution.mean() == pytest.approx(4.0)
@@ -139,6 +143,18 @@ class TestModelParsing:
                 "COMPONENT: x\nTIME-TO-FAILURE: exp(1)\nTIME-TO-FAILURE: exp(2)\n"
                 "SYSTEM DOWN: x.down"
             )
+
+    @pytest.mark.parametrize("term", ["nan", "inf"])
+    def test_non_finite_priority_rejected_with_line(self, term):
+        text = (
+            "COMPONENT: x\nTIME-TO-FAILURE: exp(1)\nTIME-TO-REPAIR: exp(1)\n"
+            "COMPONENT: y\nTIME-TO-FAILURE: exp(1)\nTIME-TO-REPAIR: exp(1)\n"
+            f"REPAIR UNIT: rep\nCOMPONENTS: x, y\nSTRATEGY: PNP\nPRIORITIES: 1, {term}\n"
+            "SYSTEM DOWN: x.down"
+        )
+        with pytest.raises(SyntaxParseError, match="not a finite number") as caught:
+            parse_model(text)
+        assert caught.value.line == 10
 
     def test_validation_runs_after_parsing(self):
         from repro.errors import ModelError
