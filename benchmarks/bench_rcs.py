@@ -16,12 +16,7 @@ dominates the heat-exchanger subsystem by more than an order of magnitude.
 
 import pytest
 
-from repro.casestudies.rcs import (
-    MISSION_TIME_HOURS,
-    build_heat_exchange_evaluator,
-    build_pump_evaluator,
-    build_rcs_modular_evaluator,
-)
+from repro.casestudies.rcs import MISSION_TIME_HOURS, build_rcs_modular_evaluator
 from repro.ctmc import point_availability
 
 PAPER_UNAVAILABILITY_50H = 6.52100e-10
@@ -82,7 +77,7 @@ def test_pump_subsystem_state_space(benchmark):
     """Pump-subsystem CTMC size and largest intermediate (paper: 10,404 / 109,662)."""
 
     def build():
-        evaluator = build_pump_evaluator()
+        evaluator = build_rcs_modular_evaluator().evaluators["pumps"]
         evaluator.availability()
         return evaluator
 
@@ -105,7 +100,7 @@ def test_heat_exchange_subsystem_state_space(benchmark):
     """Heat-exchanger subsystem CTMC size (paper: 240 / 1,668)."""
 
     def build():
-        evaluator = build_heat_exchange_evaluator()
+        evaluator = build_rcs_modular_evaluator().evaluators["heat_exchange"]
         evaluator.availability()
         return evaluator
 

@@ -23,8 +23,8 @@ Two further sections close the PR-5 loops:
 * a ``cost-parameters-dds.json`` side file — damping factors of the
   planner's cost model re-fitted from the recorded strong-mode statistics
   (:meth:`repro.planner.CostModel.calibrated`), for
-  ``plan_order(parameters=...)`` / ``Composer(plan_parameters=...)`` to
-  load instead of the built-in defaults.
+  ``plan_order(parameters=...)`` to load instead of the built-in
+  defaults.
 
 CI uploads the files as the ``dds-phase-timings`` artifact (see
 ``.github/workflows/ci.yml``).

@@ -23,7 +23,10 @@ The package layout mirrors the paper's pipeline:
   non-compositional generator;
 * :mod:`repro.simulation` — a discrete-event Monte-Carlo cross-check;
 * :mod:`repro.casestudies` — the distributed database system and the reactor
-  cooling system of Section 5.
+  cooling system of Section 5, run from the command line as
+  ``python -m repro {dds,rcs}`` (:mod:`repro.cli`);
+* :mod:`repro.config` — :class:`~repro.config.PipelineConfig`, the one
+  frozen, validated set of pipeline settings every layer reads.
 
 Quickstart::
 

@@ -23,13 +23,8 @@ import numpy as np
 
 from ..arcade.model import ArcadeModel
 from ..arcade.semantics import TranslatedModel, translate_model
-from ..composer import (
-    ComposedSystem,
-    CompositionOrder,
-    QuotientCache,
-    compose_model,
-    resolve_cache,
-)
+from ..composer import ComposedSystem, CompositionOrder, QuotientCache, compose_model
+from ..config import PipelineConfig, pipeline_config
 from ..ctmc import (
     CTMC,
     mean_time_to_failure,
@@ -63,22 +58,31 @@ class EvaluationReport:
     largest_intermediate_transitions: int
 
 
+#: Flat state-space bound above which ``backend="auto"`` simulates instead
+#: of composing (the product of the block state counts bounds what any
+#: composition order could be asked to explore).
+AUTO_STATE_LIMIT = 5e7
+#: Splitting factor of every RESTART threshold of the simulation backend.
+SIM_SPLITTING = 4
+#: Confidence level of the simulation backend's intervals.
+SIM_CONFIDENCE = 0.99
+
+
 class ArcadeEvaluator:
     """Evaluate an :class:`ArcadeModel` through the compositional pipeline.
 
-    ``reduction`` selects the bisimulation variant applied between
-    composition steps — ``"strong"`` (default), ``"branching"`` (the
-    equivalence CADP's minimisation uses in the paper's tool chain),
-    ``"weak"`` or ``"none"`` — and is forwarded to
-    :class:`repro.composer.Composer`.  ``order`` accepts an explicit nested
-    order, ``None`` for the greedy heuristic, or ``"auto"`` for the
-    cost-model-guided planner (``plan_budget`` / ``plan_seed`` /
-    ``plan_parameters`` tune its search; see :mod:`repro.planner`).
-    ``cache`` enables the isomorphism-aware quotient cache
-    (:mod:`repro.composer.cache`): ``"on"`` resolves to a single
+    ``config`` is the :class:`~repro.config.PipelineConfig` of every
+    pipeline this evaluator runs; keyword ``settings`` (``reduction="weak"``,
+    ``cache="on"``, ``backend="simulate"``, ...) are folded into it.  The
+    cache policy is resolved once, so ``cache="on"`` gives a single
     :class:`~repro.composer.QuotientCache` instance shared between the
-    repairable and the no-repair pipelines, so replicated subtrees are
-    composed once per evaluator, not once per measure.  ``telemetry``
+    repairable and the no-repair pipelines: replicated subtrees are composed
+    once per evaluator, not once per measure.
+
+    ``order`` stays beside the config because an explicit order is a
+    function of the model's blocks: it accepts an explicit nested order,
+    ``None`` for the greedy heuristic, or ``"auto"`` for the
+    cost-model-guided planner (see :mod:`repro.planner`).  ``telemetry``
     accepts a :class:`~repro.telemetry.Telemetry` session; the pipeline
     stages run inside its activation scope so composition, lumping and
     simulation spans land in its sink — purely observational, the computed
@@ -90,67 +94,20 @@ class ArcadeEvaluator:
         model: ArcadeModel,
         *,
         order: CompositionOrder | str | None = None,
-        reduction: str = "strong",
-        max_gate_width: int = 2,
-        cache: QuotientCache | str | None = None,
-        plan_budget: int | None = None,
-        plan_seed: int = 0,
-        plan_parameters=None,
-        jobs: int = 1,
-        backend: str = "compose",
-        auto_state_limit: float = 5e7,
-        sim_seed: int = 0,
-        sim_horizon: float = 10_000.0,
-        sim_replications: int = 4096,
-        sim_rel_error: float | None = None,
-        sim_splitting: int = 4,
-        sim_burn_in: float | None = None,
-        sim_confidence: float = 0.99,
+        config: PipelineConfig | None = None,
         telemetry: "Telemetry | None" = None,
-        retry=None,
-        state_budget: int | None = None,
+        **settings,
     ) -> None:
-        if backend not in ("compose", "simulate", "auto"):
-            raise ModelError(
-                f"unknown backend {backend!r} (use 'compose', 'simulate' or 'auto')"
-            )
-        self.backend = backend
-        #: Flat state-space bound above which ``backend="auto"`` falls back
-        #: to simulation (the product of the block state counts bounds what
-        #: any composition order could be asked to explore).
-        self.auto_state_limit = auto_state_limit
-        self._resolved_backend: str | None = None if backend == "auto" else backend
-        #: Simulation-backend knobs (ignored under ``backend="compose"``).
-        self.sim_seed = sim_seed
-        self.sim_horizon = sim_horizon
-        self.sim_replications = sim_replications
-        self.sim_rel_error = sim_rel_error
-        self.sim_splitting = sim_splitting
-        self.sim_burn_in = sim_burn_in if sim_burn_in is not None else sim_horizon / 20.0
-        self.sim_confidence = sim_confidence
+        #: The pipeline settings, with the quotient cache resolved.
+        self.config = pipeline_config(config, **settings).resolved()
+        self._resolved_backend: str | None = (
+            None if self.config.backend == "auto" else self.config.backend
+        )
         #: Unavailability CI of the last simulation-backend estimate.
         self.simulation_interval: ConfidenceInterval | None = None
         self._simulated_unavailability: float | None = None
         self.model = model
         self.order = order
-        self.reduction = reduction
-        self.max_gate_width = max_gate_width
-        #: The resolved quotient cache, shared by every pipeline this
-        #: evaluator runs (``None`` when caching is off).
-        self.cache: QuotientCache | None = resolve_cache(cache)
-        #: Search budget / RNG seed forwarded to the planner when
-        #: ``order="auto"`` (``None`` budget = the planner's default).
-        self.plan_budget = plan_budget
-        self.plan_seed = plan_seed
-        self.plan_parameters = plan_parameters
-        #: Worker processes for the composer's parallel subtree aggregation
-        #: (``1`` = serial; forwarded as ``Composer(jobs=...)``).
-        self.jobs = jobs
-        #: Resilience bounds, forwarded to the composer: the worker-pool
-        #: :class:`~repro.resilience.RetryPolicy` (``None`` = defaults) and
-        #: the pre-reduction state ceiling per composition step.
-        self.retry = retry
-        self.state_budget = state_budget
         #: Explicit telemetry session: the pipeline stages run inside its
         #: activation scope, so composer/lumping/simulation spans land in it
         #: even when the caller did not activate the session itself.  With
@@ -161,6 +118,12 @@ class ArcadeEvaluator:
         self._translated: TranslatedModel | None = None
         self._composed: ComposedSystem | None = None
         self._composed_no_repair: ComposedSystem | None = None
+
+    @property
+    def cache(self) -> QuotientCache | None:
+        """The quotient cache shared by every pipeline this evaluator runs
+        (``None`` when caching is off)."""
+        return self.config.cache
 
     def _telemetry_scope(self):
         """Activation scope of the explicit session (no-op when ambient)."""
@@ -175,9 +138,7 @@ class ArcadeEvaluator:
     def translated(self) -> TranslatedModel:
         """The building-block I/O-IMCs of the model."""
         if self._translated is None:
-            self._translated = translate_model(
-                self.model, max_gate_width=self.max_gate_width
-            )
+            self._translated = translate_model(self.model)
         return self._translated
 
     @property
@@ -187,7 +148,7 @@ class ArcadeEvaluator:
         ``backend="auto"`` picks per model: compositional aggregation while
         the flat state-space bound (the product of the translated block
         state counts — an upper bound on what any composition order could
-        be asked to explore) stays within ``auto_state_limit``, simulation
+        be asked to explore) stays within :data:`AUTO_STATE_LIMIT`, simulation
         beyond it.  The sweep engine uses this to route each parameter
         point to the cheaper backend.
         """
@@ -195,11 +156,9 @@ class ArcadeEvaluator:
             bound = 1.0
             for block in self.translated.blocks.values():
                 bound *= float(block.num_states)
-                if bound > self.auto_state_limit:
+                if bound > AUTO_STATE_LIMIT:
                     break
-            self._resolved_backend = (
-                "simulate" if bound > self.auto_state_limit else "compose"
-            )
+            self._resolved_backend = "simulate" if bound > AUTO_STATE_LIMIT else "compose"
         return self._resolved_backend
 
     def _compose(
@@ -207,18 +166,7 @@ class ArcadeEvaluator:
     ) -> ComposedSystem:
         """Run the composer on ``translated`` with this evaluator's settings."""
         with self._telemetry_scope():
-            return compose_model(
-                translated,
-                order=order,
-                reduction=self.reduction,
-                cache=self.cache,
-                plan_budget=self.plan_budget,
-                plan_seed=self.plan_seed,
-                plan_parameters=self.plan_parameters,
-                jobs=self.jobs,
-                retry=self.retry,
-                state_budget=self.state_budget,
-            )
+            return compose_model(translated, order=order, config=self.config)
 
     @property
     def composed(self) -> ComposedSystem:
@@ -242,7 +190,7 @@ class ArcadeEvaluator:
         """The composed system of the model with all repair units removed."""
         if self._composed_no_repair is None:
             stripped = self.model.without_repair()
-            translated = translate_model(stripped, max_gate_width=self.max_gate_width)
+            translated = translate_model(stripped)
             order = self.order
             if order is not None and not isinstance(order, str):
                 # Explicit orders lose the blocks that no longer exist;
@@ -265,25 +213,27 @@ class ArcadeEvaluator:
         degenerates to plain vectorised Monte Carlo.
         """
         if self._simulated_unavailability is None:
+            config = self.config
+            # The first 5% of every trajectory is discarded as burn-in.
+            burn_in = config.sim_horizon / 20.0
             with self._telemetry_scope():
                 simulator = RestartSimulator(
-                    self.model, seed=self.sim_seed, splitting=self.sim_splitting
+                    self.model, seed=config.sim_seed, splitting=SIM_SPLITTING
                 )
-                if self.sim_rel_error is not None:
-                    report = simulator.estimate_until(
-                        self.sim_horizon,
-                        rel_error=self.sim_rel_error,
-                        burn_in=self.sim_burn_in,
-                        confidence=self.sim_confidence,
-                        batch_size=max(self.sim_replications, 2),
-                    )
-                    interval = report.interval
+                if config.sim_rel_error is not None:
+                    interval = simulator.estimate_until(
+                        config.sim_horizon,
+                        rel_error=config.sim_rel_error,
+                        burn_in=burn_in,
+                        confidence=SIM_CONFIDENCE,
+                        batch_size=config.sim_replications,
+                    ).interval
                 else:
                     interval = simulator.run(
-                        self.sim_horizon,
-                        max(self.sim_replications, 2),
-                        burn_in=self.sim_burn_in,
-                        confidence=self.sim_confidence,
+                        config.sim_horizon,
+                        config.sim_replications,
+                        burn_in=burn_in,
+                        confidence=SIM_CONFIDENCE,
                     ).interval
             self.simulation_interval = interval
             self._simulated_unavailability = interval.mean
@@ -318,12 +268,10 @@ class ArcadeEvaluator:
         if self.resolved_backend == "simulate":
             with self._telemetry_scope():
                 target = self.model.without_repair() if assume_no_repair else self.model
-                simulator = VectorisedSimulator(target, seed=self.sim_seed)
-                batch = simulator.run_batch(mission_time, max(self.sim_replications, 2))
+                simulator = VectorisedSimulator(target, seed=self.config.sim_seed)
+                batch = simulator.run_batch(mission_time, self.config.sim_replications)
             failed = (~np.isnan(batch.first_failure_time)).astype(float)
-            self.simulation_interval = batch_means(
-                failed, confidence=self.sim_confidence
-            )
+            self.simulation_interval = batch_means(failed, confidence=SIM_CONFIDENCE)
             return self.simulation_interval.mean
         if assume_no_repair:
             chain = self.composed_without_repair.ctmc

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from ..arcade.expressions import And, Expression, KOutOfN, Literal, Or
 from ..arcade.model import ArcadeModel
-from ..composer import CompositionOrder
+from ..config import PipelineConfig, pipeline_config
 from ..errors import AnalysisError, ModelError
 from .evaluator import ArcadeEvaluator
 
@@ -47,32 +47,18 @@ class ModularEvaluator:
         subsystems: dict[str, ArcadeModel],
         system_down: Expression,
         *,
-        orders: dict[str, CompositionOrder] | None = None,
-        reduction: str = "strong",
-        cache=None,
-        jobs: int = 1,
-        retry=None,
-        state_budget: int | None = None,
+        config: PipelineConfig | None = None,
+        **settings,
     ) -> None:
         if not subsystems:
             raise ModelError("a modular evaluation needs at least one subsystem")
         self.subsystems = dict(subsystems)
         self.system_down = system_down
-        self.orders = dict(orders or {})
-        self.reduction = reduction
-        from ..composer import resolve_cache
-
-        #: One quotient cache shared across every subsystem evaluator —
-        #: replicated structures recur *between* subsystems as well (the RCS
-        #: pump lines), so the sharing compounds (``None`` = caching off).
-        self.cache = resolve_cache(cache)
-        #: Worker processes forwarded to every subsystem evaluator's composer
-        #: (``1`` = serial).
-        self.jobs = jobs
-        #: Resilience bounds forwarded to every subsystem evaluator (the
-        #: worker retry policy and the per-step state-budget ceiling).
-        self.retry = retry
-        self.state_budget = state_budget
+        #: The pipeline settings of every subsystem evaluator.  The cache is
+        #: resolved here, so one quotient cache is shared across all of them
+        #: — replicated structures recur *between* subsystems as well (the
+        #: RCS pump lines), so the sharing compounds.
+        self.config = pipeline_config(config, **settings).resolved()
         self._check_independence()
         for literal in system_down.atoms():
             if literal.component not in self.subsystems:
@@ -80,16 +66,10 @@ class ModularEvaluator:
                     f"system failure expression references unknown subsystem "
                     f"{literal.component!r}"
                 )
+        #: One evaluator per subsystem; set ``evaluators[name].order`` to
+        #: compose a subsystem in an explicit order.
         self.evaluators = {
-            name: ArcadeEvaluator(
-                model,
-                order=self.orders.get(name),
-                reduction=reduction,
-                cache=self.cache,
-                jobs=jobs,
-                retry=retry,
-                state_budget=state_budget,
-            )
+            name: ArcadeEvaluator(model, config=self.config)
             for name, model in self.subsystems.items()
         }
 

@@ -10,8 +10,6 @@ from .dds import (
 )
 from .rcs import (
     RCSParameters,
-    build_heat_exchange_evaluator,
-    build_pump_evaluator,
     build_rcs_model,
     build_rcs_modular_evaluator,
     rcs_sweep_factory,
@@ -29,8 +27,6 @@ __all__ = [
     "build_dds_evaluator",
     "build_dds_model",
     "build_dds_modular_evaluator",
-    "build_heat_exchange_evaluator",
-    "build_pump_evaluator",
     "build_rcs_model",
     "build_rcs_modular_evaluator",
     "dds",

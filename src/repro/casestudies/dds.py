@@ -35,9 +35,9 @@ from ..arcade import (
 )
 from ..arcade.expressions import And, Expression, Literal, Or
 from ..arcade.semantics import TranslatedModel
-from ..composer import CompositionOrder, hierarchical_order
+from ..composer import CompositionOrder, hierarchical_order, order_hook
+from ..config import PipelineConfig
 from ..distributions import Exponential
-from .orders import ORDER_CHOICES, validate_order_choice
 
 #: Failure rate of processors and disk controllers (per hour).
 PROCESSOR_FAILURE_RATE = 1.0 / 2000.0
@@ -197,38 +197,29 @@ def dds_composition_order(
 def build_dds_evaluator(
     parameters: DDSParameters | None = None,
     *,
-    reduction: str = "strong",
     order: str = "hierarchical",
-    cache="off",
-    jobs: int = 1,
+    config: PipelineConfig | None = None,
     telemetry=None,
-    retry=None,
-    state_budget: int | None = None,
+    **settings,
 ) -> ArcadeEvaluator:
     """Evaluator for the full compositional-aggregation pipeline on the DDS.
 
-    ``order`` selects the composition-order policy: ``"hierarchical"`` (the
-    paper's subsystem decomposition, default), ``"greedy"`` (the composer's
-    signal-closing heuristic) or ``"auto"`` (the planner of
-    :mod:`repro.planner`).  ``cache`` enables the isomorphism-aware
-    quotient cache (``"on"``/``"off"`` or a shared
-    :class:`~repro.composer.QuotientCache`): the six disk clusters are
-    isomorphic up to signal renaming, so with the cache each replicated
-    subtree is composed and minimised once.  ``jobs`` > 1 aggregates the
-    independent subsystem subtrees in parallel worker processes.
-    ``telemetry`` threads an explicit
-    :class:`~repro.telemetry.Telemetry` session through the evaluator.
+    ``order`` selects the composition-order policy (see
+    :data:`~repro.composer.ORDER_POLICIES`): ``"hierarchical"`` (the
+    paper's subsystem decomposition, default), ``"greedy"`` or ``"auto"``.
+    ``config`` and the keyword ``settings`` are the evaluator's
+    :class:`~repro.config.PipelineConfig`.  With ``cache="on"`` each of the
+    six disk clusters — isomorphic up to signal renaming — is composed and
+    minimised once; ``jobs`` > 1 aggregates the independent subsystem
+    subtrees in parallel worker processes.  ``telemetry`` threads an
+    explicit :class:`~repro.telemetry.Telemetry` session through the
+    evaluator.
     """
-    validate_order_choice(order)
-    model = build_dds_model(parameters)
+    hook = order_hook(order, dds_composition_order)
     evaluator = ArcadeEvaluator(
-        model, reduction=reduction, cache=cache, jobs=jobs, telemetry=telemetry,
-        retry=retry, state_budget=state_budget,
+        build_dds_model(parameters), config=config, telemetry=telemetry, **settings
     )
-    if order == "hierarchical":
-        evaluator.order = dds_composition_order(evaluator.translated, parameters)
-    elif order == "auto":
-        evaluator.order = "auto"
+    evaluator.order = hook(evaluator.translated, parameters)
     return evaluator
 
 
@@ -315,11 +306,14 @@ def build_dds_subsystem_models(
 
 
 def build_dds_modular_evaluator(
-    parameters: DDSParameters | None = None, *, reduction: str = "strong"
+    parameters: DDSParameters | None = None,
+    *,
+    config: PipelineConfig | None = None,
+    **settings,
 ) -> ModularEvaluator:
     """Modular evaluator over the independent DDS subsystems."""
     subsystems, system_down = build_dds_subsystem_models(parameters)
-    return ModularEvaluator(subsystems, system_down, reduction=reduction)
+    return ModularEvaluator(subsystems, system_down, config=config, **settings)
 
 
 def dds_parameters_from_values(values) -> DDSParameters:
@@ -380,189 +374,10 @@ def dds_sweep_factory():
     )
 
 
-def main(argv: list[str] | None = None) -> None:
-    """CLI: run the DDS case study under a chosen reduction mode.
-
-    ``python -m repro.casestudies.dds --reduction branching`` reproduces the
-    Table-1 numbers with the reduction the paper's CADP tool chain actually
-    used; ``strong`` and ``weak`` allow head-to-head comparisons of the
-    three bisimulation variants on the same model.
-    """
-    import argparse
-
-    from ..telemetry import (
-        add_observability_arguments,
-        configure_logging,
-        get_logger,
-        telemetry_session,
-    )
-    from .sweep_cli import (
-        add_pipeline_arguments,
-        add_resilience_arguments,
-        add_sweep_arguments,
-        run_sweep_cli,
-    )
-
-    parser = argparse.ArgumentParser(
-        description="Distributed Database System case study (Section 5.1)"
-    )
-    add_pipeline_arguments(parser)
-    parser.add_argument(
-        "--clusters",
-        type=int,
-        default=DDSParameters().num_clusters,
-        help="number of disk clusters (paper: 6); scales the model",
-    )
-    parser.add_argument(
-        "--disks-per-cluster",
-        type=int,
-        default=DDSParameters().disks_per_cluster,
-        help="disks per cluster (paper: 4); scales the replicated subtrees",
-    )
-    add_observability_arguments(parser)
-    add_sweep_arguments(parser)
-    add_resilience_arguments(parser)
-    args = parser.parse_args(argv)
-    configure_logging(args)
-    log = get_logger("dds")
-
-    with telemetry_session("dds", args, seeds={"sim_seed": args.sim_seed}):
-        _run(args, log, run_sweep_cli)
-
-
-def _run(args, log, run_sweep_cli) -> None:
-    import time
-
-    if args.sweep:
-        import dataclasses
-
-        # --clusters / --disks-per-cluster pin the structural axes of the
-        # swept family (they stay sweepable via --sweep-grid num_clusters=...).
-        factory = dds_sweep_factory()
-        factory = dataclasses.replace(
-            factory,
-            base={
-                **factory.base,
-                "num_clusters": float(args.clusters),
-                "disks_per_cluster": float(args.disks_per_cluster),
-            },
-        )
-        # Default when no axes are given: a small rate grid around Table 1.
-        run_sweep_cli(
-            factory,
-            args,
-            default_grid={
-                "disk_failure_rate": [
-                    DISK_FAILURE_RATE / 2.0,
-                    DISK_FAILURE_RATE,
-                    DISK_FAILURE_RATE * 2.0,
-                ],
-                "repair_rate": [0.5, 1.0, 2.0],
-            },
-        )
-        return
-
-    parameters = DDSParameters(
-        num_clusters=args.clusters, disks_per_cluster=args.disks_per_cluster
-    )
-    if args.backend == "simulate":
-        started = time.perf_counter()
-        evaluator = ArcadeEvaluator(
-            build_dds_model(parameters),
-            backend="simulate",
-            sim_seed=args.sim_seed,
-            sim_horizon=args.sim_horizon,
-            sim_replications=args.replications,
-            sim_rel_error=args.rel_error,
-        )
-        availability = evaluator.availability()
-        interval = evaluator.simulation_interval
-        reliability = evaluator.reliability(MISSION_TIME_HOURS)
-        elapsed = time.perf_counter() - started
-        log.info("DDS (%s clusters), backend=simulate (RESTART)", args.clusters)
-        log.info("  availability          %.9f", availability)
-        if interval is not None:
-            log.info("  unavailability CI     %s", interval.describe())
-        log.info("  reliability (5 weeks) %.9f", reliability)
-        log.info("  wall-clock %.1fs", elapsed)
-        return
-    from ..composer import resolve_cache
-    from .sweep_cli import load_cache_file, retry_from_args, save_cache_file
-
-    started = time.perf_counter()
-    cache = resolve_cache(args.cache)
-    load_cache_file(cache, args)
-    evaluator = build_dds_evaluator(
-        parameters,
-        reduction=args.reduction,
-        order=args.order,
-        cache=cache if cache is not None else "off",
-        jobs=args.jobs,
-        retry=retry_from_args(args),
-        state_budget=args.state_budget,
-    )
-    availability = evaluator.availability()
-    reliability = evaluator.reliability(MISSION_TIME_HOURS)
-    elapsed = time.perf_counter() - started
-    statistics = evaluator.composed.statistics
-    jobs_note = f", jobs={args.jobs}" if args.jobs > 1 else ""
-    log.info(
-        "DDS (%s clusters), reduction=%s, order=%s%s",
-        args.clusters,
-        args.reduction,
-        args.order,
-        jobs_note,
-    )
-    if evaluator.composed.plan_report is not None:
-        log.info("  %s", evaluator.composed.plan_report.summary())
-    if evaluator.cache is not None:
-        summary = evaluator.cache.summary()
-        log.info(
-            "  cache: %s hits / %s misses (hit rate %.0f%%), saved %.2fs",
-            summary["hits"],
-            summary["misses"],
-            100.0 * summary["hit_rate"],
-            summary["saved_seconds"],
-        )
-    log.info(
-        "  final CTMC: %s states / %s transitions",
-        evaluator.ctmc.num_states,
-        evaluator.ctmc.num_transitions,
-    )
-    log.info(
-        "  largest intermediate: %s states over %s composition steps",
-        statistics.largest_intermediate_states,
-        len(statistics.steps),
-    )
-    log.info("  availability          %.9f", availability)
-    log.info("  reliability (5 weeks) %.9f", reliability)
-    if statistics.serial_fallbacks or statistics.worker_retries:
-        log.warning(
-            "  resilience: %s retry(ies), %s timeout(s), %s pool break(s), "
-            "%s serial fallback(s)",
-            statistics.worker_retries,
-            statistics.worker_timeouts,
-            statistics.pool_breaks,
-            statistics.serial_fallbacks,
-        )
-    log.info(
-        "  wall-clock %.1fs (compose %.1fs, reduce %.1fs)",
-        elapsed,
-        statistics.total_compose_seconds,
-        statistics.total_reduce_seconds,
-    )
-    save_cache_file(cache, args)
-
-
-if __name__ == "__main__":
-    main()
-
-
 __all__ = [
     "DDSParameters",
     "DISK_FAILURE_RATE",
     "MISSION_TIME_HOURS",
-    "ORDER_CHOICES",
     "PROCESSOR_FAILURE_RATE",
     "REPAIR_RATE",
     "build_dds_evaluator",

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..analysis import ArcadeEvaluator, ModularEvaluator
+from ..analysis import ModularEvaluator
 from ..arcade import (
     ArcadeModel,
     BasicComponent,
@@ -48,9 +48,9 @@ from ..arcade import (
 from ..arcade.expressions import And, Expression, Literal, Or
 from ..arcade.operational_modes import degradation_group
 from ..arcade.semantics import TranslatedModel
-from ..composer import CompositionOrder, hierarchical_order
+from ..composer import CompositionOrder, hierarchical_order, order_hook
+from ..config import PipelineConfig
 from ..distributions import Erlang, Exponential
-from .orders import ORDER_CHOICES, validate_order_choice
 
 #: Phase rate of the Erlang-2 pump failure distribution (per hour).
 PUMP_PHASE_RATE = 5.44e-6
@@ -276,75 +276,52 @@ def subsystem_order(
     return hierarchical_order(translated, [group for group in filtered if group])
 
 
-def build_pump_evaluator(
-    parameters: RCSParameters | None = None, *, reduction: str = "strong"
-) -> ArcadeEvaluator:
-    """Evaluator for the pump subsystem through the compositional pipeline."""
-    model = build_pump_subsystem(parameters)
-    evaluator = ArcadeEvaluator(model, reduction=reduction)
-    evaluator.order = subsystem_order(
-        evaluator.translated, pump_subsystem_groups(parameters)
-    )
-    return evaluator
+def rcs_composition_order(
+    translated: TranslatedModel, parameters: RCSParameters | None = None
+) -> CompositionOrder:
+    """Hierarchical composition order for the flat RCS or either subsystem.
+
+    The groups of both subsystems are filtered to the blocks present, so a
+    subsystem model gets exactly its own decomposition.
+    """
+    groups = pump_subsystem_groups(parameters) + heat_exchange_subsystem_groups(parameters)
+    return subsystem_order(translated, groups)
 
 
-def build_heat_exchange_evaluator(
-    parameters: RCSParameters | None = None, *, reduction: str = "strong"
-) -> ArcadeEvaluator:
-    """Evaluator for the heat-exchanger subsystem through the compositional pipeline."""
-    model = build_heat_exchange_subsystem(parameters)
-    evaluator = ArcadeEvaluator(model, reduction=reduction)
-    evaluator.order = subsystem_order(
-        evaluator.translated, heat_exchange_subsystem_groups(parameters)
-    )
-    return evaluator
+def build_rcs_subsystem_models(
+    parameters: RCSParameters | None = None,
+) -> tuple[dict[str, ArcadeModel], Expression]:
+    """The two independent RCS subsystems and the system failure expression."""
+    subsystems = {
+        "pumps": build_pump_subsystem(parameters),
+        "heat_exchange": build_heat_exchange_subsystem(parameters),
+    }
+    return subsystems, Or([Literal(name, None) for name in subsystems])
 
 
 def build_rcs_modular_evaluator(
     parameters: RCSParameters | None = None,
     *,
-    reduction: str = "strong",
     order: str = "hierarchical",
-    cache="off",
-    jobs: int = 1,
-    retry=None,
-    state_budget: int | None = None,
+    config: PipelineConfig | None = None,
+    **settings,
 ) -> ModularEvaluator:
     """Modular evaluator of the full RCS (the paper's Section 5.2.2 analysis).
 
     ``order`` selects the composition-order policy applied to both subsystem
-    evaluators: ``"hierarchical"`` (the paper's decomposition, default),
-    ``"greedy"`` (the composer's signal-closing heuristic) or ``"auto"``
-    (the planner of :mod:`repro.planner`).  ``cache`` (``"on"``/``"off"``
-    or a shared :class:`~repro.composer.QuotientCache`) enables the
-    isomorphism-aware quotient cache, shared across both subsystem
-    evaluators — the two pump lines are isomorphic up to signal renaming.
-    ``jobs`` > 1 lets each subsystem composer aggregate its independent
-    subtrees in parallel worker processes.
+    evaluators (see :data:`~repro.composer.ORDER_POLICIES`):
+    ``"hierarchical"`` (the paper's decomposition, default), ``"greedy"``
+    or ``"auto"``.  ``config`` and the keyword ``settings`` are the shared
+    :class:`~repro.config.PipelineConfig`; with ``cache="on"`` one quotient
+    cache serves both subsystem evaluators — the two pump lines are
+    isomorphic up to signal renaming.
     """
-    validate_order_choice(order)
-    p = parameters or RCSParameters()
-    subsystems = {
-        "pumps": build_pump_subsystem(p),
-        "heat_exchange": build_heat_exchange_subsystem(p),
-    }
-    orders: dict[str, CompositionOrder] = {}
-    system_down = Or([Literal("pumps", None), Literal("heat_exchange", None)])
+    hook = order_hook(order, rcs_composition_order)
     evaluator = ModularEvaluator(
-        subsystems, system_down, orders=orders, reduction=reduction, cache=cache,
-        jobs=jobs, retry=retry, state_budget=state_budget,
+        *build_rcs_subsystem_models(parameters), config=config, **settings
     )
-    if order == "hierarchical":
-        evaluator.evaluators["pumps"].order = subsystem_order(
-            evaluator.evaluators["pumps"].translated, pump_subsystem_groups(p)
-        )
-        evaluator.evaluators["heat_exchange"].order = subsystem_order(
-            evaluator.evaluators["heat_exchange"].translated,
-            heat_exchange_subsystem_groups(p),
-        )
-    elif order == "auto":
-        evaluator.evaluators["pumps"].order = "auto"
-        evaluator.evaluators["heat_exchange"].order = "auto"
+    for subsystem in evaluator.evaluators.values():
+        subsystem.order = hook(subsystem.translated, parameters)
     return evaluator
 
 
@@ -384,9 +361,7 @@ def rcs_sweep_factory():
         return build_rcs_model(rcs_parameters_from_values(values))
 
     def order(translated: TranslatedModel, values) -> CompositionOrder:
-        p = rcs_parameters_from_values(values)
-        groups = pump_subsystem_groups(p) + heat_exchange_subsystem_groups(p)
-        return subsystem_order(translated, groups)
+        return rcs_composition_order(translated, rcs_parameters_from_values(values))
 
     return SweepFactory(
         name="rcs",
@@ -409,168 +384,28 @@ def rcs_sweep_factory():
     )
 
 
-def main(argv: list[str] | None = None) -> None:
-    """CLI: run the modular RCS analysis under a chosen reduction mode.
-
-    ``python -m repro.casestudies.rcs --reduction branching`` reproduces the
-    Section 5.2.2 numbers with the paper's actual CADP equivalence.
-    """
-    import argparse
-
-    from ..telemetry import (
-        add_observability_arguments,
-        configure_logging,
-        get_logger,
-        telemetry_session,
-    )
-    from .sweep_cli import (
-        add_pipeline_arguments,
-        add_resilience_arguments,
-        add_sweep_arguments,
-        run_sweep_cli,
-    )
-
-    parser = argparse.ArgumentParser(
-        description="Reactor Cooling System case study (Section 5.2)"
-    )
-    add_pipeline_arguments(parser)
-    add_observability_arguments(parser)
-    add_sweep_arguments(parser)
-    add_resilience_arguments(parser)
-    args = parser.parse_args(argv)
-    configure_logging(args)
-    log = get_logger("rcs")
-
-    with telemetry_session("rcs", args, seeds={"sim_seed": args.sim_seed}):
-        _run(args, log, run_sweep_cli)
-
-
-def _run(args, log, run_sweep_cli) -> None:
-    import time
-
-    from ..ctmc import point_availability
-
-    if args.sweep:
-        run_sweep_cli(
-            rcs_sweep_factory(),
-            args,
-            default_grid={
-                "filter_failure_rate": [
-                    FILTER_FAILURE_RATE / 2.0,
-                    FILTER_FAILURE_RATE,
-                    FILTER_FAILURE_RATE * 2.0,
-                ],
-                "repair_rate": [0.05, 0.1, 0.2],
-            },
-        )
-        return
-
-    if args.backend == "simulate":
-        started = time.perf_counter()
-        evaluator = ArcadeEvaluator(
-            build_rcs_model(),
-            backend="simulate",
-            sim_seed=args.sim_seed,
-            sim_horizon=args.sim_horizon,
-            sim_replications=args.replications,
-            sim_rel_error=args.rel_error,
-        )
-        unavailability = evaluator.unavailability()
-        interval = evaluator.simulation_interval
-        unreliability_50h = evaluator.unreliability(MISSION_TIME_HOURS)
-        elapsed = time.perf_counter() - started
-        log.info("RCS (flat model), backend=simulate (RESTART)")
-        log.info("  long-run unavailability %.3e", unavailability)
-        if interval is not None:
-            log.info("  unavailability CI       %s", interval.describe())
-        log.info("  unreliability (50 h)    %.3e", unreliability_50h)
-        log.info("  wall-clock %.1fs", elapsed)
-        return
-
-    from ..composer import resolve_cache
-    from .sweep_cli import load_cache_file, retry_from_args, save_cache_file
-
-    started = time.perf_counter()
-    cache = resolve_cache(args.cache)
-    load_cache_file(cache, args)
-    modular = build_rcs_modular_evaluator(
-        reduction=args.reduction,
-        order=args.order,
-        cache=cache if cache is not None else "off",
-        jobs=args.jobs,
-        retry=retry_from_args(args),
-        state_budget=args.state_budget,
-    )
-    pumps = modular.evaluators["pumps"]
-    heat = modular.evaluators["heat_exchange"]
-    unavailability_50h = 1.0 - (
-        point_availability(pumps.ctmc, MISSION_TIME_HOURS)
-        * point_availability(heat.ctmc, MISSION_TIME_HOURS)
-    )
-    unreliability_50h = modular.unreliability(MISSION_TIME_HOURS)
-    elapsed = time.perf_counter() - started
-    jobs_note = f", jobs={args.jobs}" if args.jobs > 1 else ""
-    log.info(
-        "RCS (modular), reduction=%s, order=%s%s", args.reduction, args.order, jobs_note
-    )
-    for name in ("pumps", "heat_exchange"):
-        report = modular.evaluators[name].composed.plan_report
-        if report is not None:
-            log.info("  %s: %s", name, report.summary())
-    if modular.cache is not None:
-        summary = modular.cache.summary()
-        log.info(
-            "  cache: %s hits / %s misses (hit rate %.0f%%), saved %.2fs",
-            summary["hits"],
-            summary["misses"],
-            100.0 * summary["hit_rate"],
-            summary["saved_seconds"],
-        )
-    log.info(
-        "  pump subsystem CTMC: %s states / %s transitions, unavailability %.6e",
-        pumps.ctmc.num_states,
-        pumps.ctmc.num_transitions,
-        pumps.unavailability(),
-    )
-    log.info(
-        "  heat-exchange CTMC:  %s states / %s transitions, unavailability %.6e",
-        heat.ctmc.num_states,
-        heat.ctmc.num_transitions,
-        heat.unavailability(),
-    )
-    log.info("  unavailability (50 h) %.6e", unavailability_50h)
-    log.info("  unreliability  (50 h) %.6e", unreliability_50h)
-    log.info("  wall-clock %.1fs", elapsed)
-    save_cache_file(cache, args)
-
-
-if __name__ == "__main__":
-    main()
-
-
 __all__ = [
     "COMPONENT_REPAIR_RATE",
     "FILTER_FAILURE_RATE",
     "HEAT_EXCHANGER_FAILURE_RATE",
     "MISSION_TIME_HOURS",
-    "ORDER_CHOICES",
     "PUMP_PHASE_RATE",
     "PUMP_REPAIR_PHASE_RATE",
     "RCSParameters",
     "STUCK_CLOSED",
     "STUCK_OPEN",
     "VALVE_FAILURE_RATE",
-    "build_heat_exchange_evaluator",
     "build_heat_exchange_subsystem",
-    "build_pump_evaluator",
     "build_pump_subsystem",
     "build_rcs_model",
     "build_rcs_modular_evaluator",
+    "build_rcs_subsystem_models",
     "bypass_down",
     "heat_exchange_unit_down",
     "pump_line_components",
     "pump_line_down",
     "pump_subsystem_groups",
+    "rcs_composition_order",
     "rcs_parameters_from_values",
     "rcs_sweep_factory",
     "subsystem_order",

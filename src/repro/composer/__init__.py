@@ -1,8 +1,8 @@
 """Compositional aggregation: composing and reducing the block I/O-IMCs."""
 
+from ..config import REDUCTION_MODES
 from .cache import CacheEntry, QuotientCache, SubtreeFingerprint, resolve_cache
 from .composer import (
-    REDUCTION_MODES,
     ComposedSystem,
     CompositionOrder,
     CompositionStatistics,
@@ -10,9 +10,16 @@ from .composer import (
     Composer,
     compose_model,
 )
-from .ordering import GateScheduler, flatten_order, hierarchical_order
+from .ordering import (
+    ORDER_POLICIES,
+    GateScheduler,
+    flatten_order,
+    hierarchical_order,
+    order_hook,
+)
 
 __all__ = [
+    "ORDER_POLICIES",
     "REDUCTION_MODES",
     "CacheEntry",
     "ComposedSystem",
@@ -26,5 +33,6 @@ __all__ = [
     "compose_model",
     "flatten_order",
     "hierarchical_order",
+    "order_hook",
     "resolve_cache",
 ]

@@ -70,6 +70,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import CompositionError
 from ..ioimc import IOIMC, TAU
 from ..ioimc.actions import ActionKind, natural_sort_key
 from ..ioimc.canonical import _KIND_CODE, encode_renumbered
@@ -501,7 +502,7 @@ def resolve_cache(cache: "QuotientCache | str | None") -> QuotientCache | None:
         return QuotientCache()
     if cache == "off":
         return None
-    raise ValueError(
+    raise CompositionError(
         f'unknown cache policy {cache!r} (expected "on", "off", None or a '
         "QuotientCache instance)"
     )

@@ -27,6 +27,7 @@ rebased from the cache onto its concrete signal names (see
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -52,16 +53,14 @@ from ..resilience.retry import RecoveryEvent, RetryPolicy
 from ..telemetry.sink import MemorySink
 from ..telemetry.trace import Telemetry, current_telemetry, gauge_max, incr
 from ..telemetry.trace import span as telemetry_span
-from .cache import QuotientCache, SubtreeFingerprint, resolve_cache
+from ..config import PipelineConfig, pipeline_config
+from .cache import QuotientCache, SubtreeFingerprint
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (planner uses composer)
-    from ..planner import CostParameters, PlanReport
+    from ..planner import PlanReport
 
 #: Composition orders are nested sequences of block names.
 CompositionOrder = Sequence["str | CompositionOrder"]
-
-#: The bisimulation variants the reduction pipeline can apply between steps.
-REDUCTION_MODES = ("strong", "weak", "branching", "none")
 
 
 @dataclass(frozen=True)
@@ -243,57 +242,42 @@ class Composer:
         :func:`repro.planner.plan_order` (the resulting
         :class:`~repro.planner.PlanReport` is exposed as
         :attr:`plan_report` and on the returned :class:`ComposedSystem`).
-    reduction:
-        Bisimulation variant applied to every intermediate model, after the
-        maximal-progress cut and vanishing-chain elimination that every step
-        runs: ``"strong"`` (default; always sound, preserves every measure),
-        ``"branching"`` (inert-tau-abstracting — the equivalence CADP's
-        minimisation uses in the paper's tool chain), ``"weak"``
-        (tau-abstracting, the coarsest of the three) or ``"none"``.  The
-        extracted CTMC is always lumped modulo ordinary lumpability.
-    cache:
-        Isomorphism-aware memoisation policy: ``"on"`` (a fresh
-        :class:`~repro.composer.cache.QuotientCache`), ``"off"``/``None``
-        (default, no memoisation) or an existing cache instance to share
-        hits across several runs.  Replicated subtrees are composed and
-        reduced once; further copies are rebased from the cache via their
-        canonical renaming witness, reproducing the uncached pipeline's
-        results exactly (see ``docs/caching.md``).
-    plan_parameters:
-        Cost-model damping parameters for ``order="auto"``: a
-        :class:`~repro.planner.CostParameters` instance or a path to a JSON
-        file persisted by :func:`repro.planner.save_cost_parameters` (e.g.
-        the per-family files the benchmarks export).  ``None`` uses the
-        built-in DDS/RCS-fitted defaults.
-    jobs:
-        Worker-pool size for parallel subtree aggregation.  With ``jobs >
-        1`` the independent nested groups of the composition order (the
-        affinity-group subtrees) are composed, hidden and reduced in a
-        :class:`~concurrent.futures.ProcessPoolExecutor`, their statistics
-        and cache entries merged back, and only the left-deep join spine
-        runs serially — bit-identical to the serial run (see
-        ``docs/architecture.md``).  Flat orders and single-subtree orders
-        fall back to the serial path.
-    retry:
-        :class:`~repro.resilience.RetryPolicy` bounding the parallel
-        dispatch's recovery from crashed (``BrokenProcessPool``) and hung
-        (per-task timeout) workers: bounded retry with backoff, then — when
-        the policy allows — graceful serial fallback in the parent.  Every
-        recovery is recorded in :class:`CompositionStatistics` and the
-        ``resilience.*`` telemetry counters; the composed result stays
-        bit-identical to an undisturbed run because the serial fallback and
-        the workers run the very same fold.  ``None`` uses the defaults
-        (3 attempts, no deadline, serial fallback on).  See
-        ``docs/robustness.md``.
-    state_budget:
-        Hard ceiling on any step's *pre-reduction* product size, in states.
-        A step that exceeds it raises
-        :class:`~repro.errors.StateBudgetError` (a
-        :class:`~repro.errors.CompositionError`) instead of consuming
-        unbounded memory — the sweep driver's per-point isolation turns
-        that into an error row.  Checked identically on cache hits (from
-        the entry's recorded pre-reduction size) and in worker processes.
-        ``None`` (default) disables the check.
+    config:
+        The :class:`~repro.config.PipelineConfig` whose pipeline fields the
+        composer reads; keyword ``settings`` are folded into it.
+
+        * ``reduction`` — the bisimulation applied to every intermediate
+          model, after the maximal-progress cut and vanishing-chain
+          elimination that every step runs.  The extracted CTMC is always
+          lumped modulo ordinary lumpability.
+        * ``cache`` — isomorphism-aware memoisation: replicated subtrees are
+          composed and reduced once; further copies are rebased from the
+          cache via their canonical renaming witness, reproducing the
+          uncached pipeline's results exactly (see ``docs/caching.md``).
+        * ``jobs`` — with ``jobs > 1`` the independent nested groups of the
+          composition order (the affinity-group subtrees) are composed,
+          hidden and reduced in a
+          :class:`~concurrent.futures.ProcessPoolExecutor`, their statistics
+          and cache entries merged back, and only the left-deep join spine
+          runs serially — bit-identical to the serial run (see
+          ``docs/architecture.md``).  Flat orders and single-subtree orders
+          fall back to the serial path.
+        * ``retry`` — the :class:`~repro.resilience.RetryPolicy` bounding
+          the parallel dispatch's recovery from crashed
+          (``BrokenProcessPool``) and hung (per-task timeout) workers:
+          bounded retry with backoff, then — when the policy allows —
+          graceful serial fallback in the parent.  Every recovery is
+          recorded in :class:`CompositionStatistics` and the
+          ``resilience.*`` telemetry counters; the composed result stays
+          bit-identical to an undisturbed run because the serial fallback
+          and the workers run the very same fold.  See
+          ``docs/robustness.md``.
+        * ``state_budget`` — a step whose *pre-reduction* product exceeds
+          it raises :class:`~repro.errors.StateBudgetError` (a
+          :class:`~repro.errors.CompositionError`) instead of consuming
+          unbounded memory — the sweep driver's per-point isolation turns
+          that into an error row.  Checked identically on cache hits (from
+          the entry's recorded pre-reduction size) and in worker processes.
     """
 
     def __init__(
@@ -301,25 +285,9 @@ class Composer:
         translated: TranslatedModel,
         *,
         order: CompositionOrder | str | None = None,
-        reduction: str = "strong",
-        cache: QuotientCache | str | None = None,
-        plan_budget: int | None = None,
-        plan_seed: int = 0,
-        plan_parameters: "CostParameters | str | None" = None,
-        jobs: int = 1,
-        retry: "RetryPolicy | None" = None,
-        state_budget: int | None = None,
+        config: PipelineConfig | None = None,
+        **settings,
     ) -> None:
-        if reduction not in REDUCTION_MODES:
-            raise CompositionError(
-                f"unknown reduction {reduction!r} (expected one of {REDUCTION_MODES})"
-            )
-        if jobs < 1:
-            raise CompositionError(f"jobs must be >= 1, got {jobs}")
-        if state_budget is not None and state_budget < 1:
-            raise CompositionError(
-                f"state_budget must be >= 1, got {state_budget}"
-            )
         if isinstance(order, str) and order != "auto":
             raise CompositionError(
                 f"unknown order {order!r} (pass an explicit nested order, "
@@ -327,28 +295,21 @@ class Composer:
             )
         self.translated = translated
         self.order = order
-        #: Search budget / RNG seed forwarded to the planner for
-        #: ``order="auto"`` (``None`` budget = the planner's default).
-        self.plan_budget = plan_budget
-        self.plan_seed = plan_seed
-        self.plan_parameters = plan_parameters
+        #: The pipeline settings, with the quotient cache resolved: the same
+        #: instance survives re-runs of :meth:`compose`, so repeated
+        #: pipelines (availability + no-repair reliability, growth sweeps)
+        #: compound their hits.
+        self.config = pipeline_config(config, **settings).resolved()
         #: The planner's :class:`~repro.planner.PlanReport` of the last
         #: ``order="auto"`` run (``None`` otherwise).
         self.plan_report: "PlanReport | None" = None
-        self.reduction = reduction
-        #: The resolved quotient cache (``None`` when caching is off).  The
-        #: same instance survives re-runs of :meth:`compose`, so repeated
-        #: pipelines (availability + no-repair reliability, growth sweeps)
-        #: compound their hits.
-        self.cache: QuotientCache | None = resolve_cache(cache)
-        #: Worker-pool size for parallel subtree aggregation (1 = serial).
-        self.jobs = jobs
-        #: Recovery bounds of the parallel dispatch (defaults when ``None``).
-        self.retry = retry if retry is not None else RetryPolicy()
-        #: Pre-reduction state ceiling per step (``None`` = unbounded).
-        self.state_budget = state_budget
         self.statistics = CompositionStatistics()
         self._composed_blocks: set[str] = set()
+
+    @property
+    def cache(self) -> QuotientCache | None:
+        """The resolved quotient cache (``None`` when caching is off)."""
+        return self.config.cache
 
     # ------------------------------------------------------------------ #
     # public API
@@ -357,8 +318,8 @@ class Composer:
         """Run the full pipeline: compose, hide, reduce, extract the CTMC."""
         with telemetry_span(
             "compose.run",
-            reduction=self.reduction,
-            jobs=self.jobs,
+            reduction=self.config.reduction,
+            jobs=self.config.jobs,
             cache="on" if self.cache is not None else "off",
             blocks=len(self.translated.blocks),
         ) as run_span:
@@ -372,7 +333,7 @@ class Composer:
             # accumulate steps/timings across invocations.  (The quotient
             # cache, in contrast, deliberately survives re-runs.)
             self.statistics = CompositionStatistics()
-            if self.jobs > 1:
+            if self.config.jobs > 1:
                 system, _, _ = self._compose_parallel(order)
             else:
                 system, _, _ = self._compose_group(order)
@@ -384,7 +345,7 @@ class Composer:
             # Close the system: everything still visible can be hidden now.
             system = hide(system, system.signature.outputs)
             started = time.perf_counter()
-            with telemetry_span("compose.final_reduce", reduction=self.reduction):
+            with telemetry_span("compose.final_reduce", reduction=self.config.reduction):
                 system = self._reduce(system)
             self.statistics.final_reduce_seconds += time.perf_counter() - started
             ctmc = lump(extract_ctmc(system)).quotient
@@ -412,19 +373,15 @@ class Composer:
         if isinstance(self.order, str):  # validated to be "auto" in __init__
             from ..planner import plan_order  # late import: planner uses composer
 
-            keywords: dict = {} if self.plan_budget is None else {"budget": self.plan_budget}
-            if self.plan_parameters is not None:
-                keywords["parameters"] = self.plan_parameters
-            if self.cache is not None:
-                # Let the search price the 2nd..N-th copy of an isomorphic
-                # sibling group at ~0 (the cache will serve them), and hand
-                # the cache itself over so folds it already stores — from a
-                # shared pre-warmed cache — discount the *first* copy too.
-                keywords["cache_aware"] = True
-                keywords["cache"] = self.cache
-                keywords["reduction"] = self.reduction
+            # With a cache, let the search price the 2nd..N-th copy of an
+            # isomorphic sibling group at ~0 (the cache will serve them), and
+            # hand the cache itself over so folds it already stores — from a
+            # shared pre-warmed cache — discount the *first* copy too.
             order, self.plan_report = plan_order(
-                self.translated, seed=self.plan_seed, **keywords
+                self.translated,
+                cache_aware=self.cache is not None,
+                cache=self.cache,
+                reduction=self.config.reduction,
             )
             return order
         return self.order
@@ -554,7 +511,7 @@ class Composer:
         if len(dispatch) < 2:
             return self._compose_group(order)
 
-        workers = min(self.jobs, len(dispatch))
+        workers = min(self.config.jobs, len(dispatch))
         self.statistics.jobs = workers
         telemetry = current_telemetry()
         results: dict[int, _SubtreeResult] = {}
@@ -643,13 +600,14 @@ class Composer:
         the parent process — the parent-side sites (``compose.blowup``)
         still see the ambient plan through the contextvar.
         """
+        # The config travels without the parent's cache instance: a worker
+        # that caches starts from a fresh one, which the parent merges back.
         return (
             self._subtree_translated(item),
             item,
-            self.reduction,
+            dataclasses.replace(self.config, cache=None),
             self.cache is not None,
             traced,
-            self.state_budget,
             task_id,
             attempt,
             fault_plan,
@@ -679,7 +637,7 @@ class Composer:
         pool is torn down hard (``cancel_futures`` plus ``terminate`` on
         live workers), so an aborted run leaves no orphan processes behind.
         """
-        policy = self.retry
+        policy = self.config.retry or RetryPolicy()
         fault_plan = active_fault_plan()
         statistics = self.statistics
         pending: dict[int, tuple] = {index: (item, 0) for index, item in dispatch}
@@ -901,7 +859,7 @@ class Composer:
         if cache is not None and left_fingerprint is not None and right_fingerprint is not None:
             plan = cache.plan_step(left_fingerprint, right_fingerprint, hidable)
             if plan is not None:
-                key = cache.result_key(plan, reduction=self.reduction)
+                key = cache.result_key(plan, reduction=self.config.reduction)
 
         compose_started = time.perf_counter()
         entry = cache.get(key) if key is not None else None
@@ -1003,7 +961,7 @@ class Composer:
         observed size, so chaos tests can trigger a deterministic
         :class:`~repro.errors.StateBudgetError` on an otherwise small model.
         """
-        budget = self.state_budget
+        budget = self.config.state_budget
         if budget is None:
             return
         observed = float(states)
@@ -1043,11 +1001,11 @@ class Composer:
         automaton = maximal_progress_cut(automaton)
         automaton = eliminate_vanishing_chains(automaton)
         automaton = automaton.restrict_to_reachable()
-        if self.reduction == "strong":
+        if self.config.reduction == "strong":
             automaton = minimize_strong(automaton).quotient
-        elif self.reduction == "weak":
+        elif self.config.reduction == "weak":
             automaton = minimize_weak(automaton).quotient
-        elif self.reduction == "branching":
+        elif self.config.reduction == "branching":
             automaton = minimize_branching(automaton).quotient
         return automaton
 
@@ -1123,8 +1081,8 @@ def _compose_subtree_worker(payload) -> _SubtreeResult:
     """Process-pool entry point: compose one independent subtree.
 
     The payload carries a restricted :class:`TranslatedModel` (the subtree's
-    blocks plus the full-model listener table), the reduction settings, the
-    state budget, and the fault-injection context: the parent's
+    blocks plus the full-model listener table), the parent's pipeline config
+    without its cache instance, and the fault-injection context: the parent's
     :class:`~repro.resilience.FaultPlan` (contextvars do not cross the
     process boundary, so the plan travels in the payload and is re-activated
     here) plus this task's stable id and retry attempt, which key the
@@ -1143,10 +1101,9 @@ def _compose_subtree_worker(payload) -> _SubtreeResult:
     (
         translated,
         item,
-        reduction,
+        config,
         use_cache,
         traced,
-        state_budget,
         task_id,
         attempt,
         fault_plan,
@@ -1161,11 +1118,7 @@ def _compose_subtree_worker(payload) -> _SubtreeResult:
             if stall is not None:
                 time.sleep(stall.sleep_seconds)
         composer = Composer(
-            translated,
-            order=item,
-            reduction=reduction,
-            cache="on" if use_cache else None,
-            state_budget=state_budget,
+            translated, order=item, config=config, cache="on" if use_cache else None
         )
         events: tuple = ()
         metrics_snapshot: dict | None = None
@@ -1198,37 +1151,17 @@ def compose_model(
     translated: TranslatedModel,
     *,
     order: CompositionOrder | str | None = None,
-    reduction: str = "strong",
-    cache: QuotientCache | str | None = None,
-    plan_budget: int | None = None,
-    plan_seed: int = 0,
-    plan_parameters: "CostParameters | str | None" = None,
-    jobs: int = 1,
-    retry: "RetryPolicy | None" = None,
-    state_budget: int | None = None,
+    config: PipelineConfig | None = None,
+    **settings,
 ) -> ComposedSystem:
     """One-call wrapper around :class:`Composer`.
 
-    Accepts the same keyword arguments (see the :class:`Composer` docstring
-    for the reduction — ``reduction`` — the quotient cache — ``cache`` —
-    the order planner — ``order="auto"``, ``plan_budget``,
-    ``plan_seed``, ``plan_parameters`` — and the resilience bounds —
-    ``retry``, ``state_budget``) and returns the fully composed
-    :class:`ComposedSystem` with its I/O-IMC, CTMC and per-step statistics.
+    Accepts the same arguments (see the :class:`Composer` docstring for the
+    order — ``order``, ``"auto"`` for the planner — and for the config
+    fields it reads) and returns the fully composed :class:`ComposedSystem`
+    with its I/O-IMC, CTMC and per-step statistics.
     """
-    composer = Composer(
-        translated,
-        order=order,
-        reduction=reduction,
-        cache=cache,
-        plan_budget=plan_budget,
-        plan_seed=plan_seed,
-        plan_parameters=plan_parameters,
-        jobs=jobs,
-        retry=retry,
-        state_budget=state_budget,
-    )
-    return composer.compose()
+    return Composer(translated, order=order, config=config, **settings).compose()
 
 
 __all__ = [
@@ -1237,6 +1170,5 @@ __all__ = [
     "CompositionStatistics",
     "CompositionStep",
     "Composer",
-    "REDUCTION_MODES",
     "compose_model",
 ]

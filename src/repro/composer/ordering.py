@@ -21,7 +21,7 @@ aggregation effective.  This module provides
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from ..arcade.semantics import TranslatedModel
 from ..errors import CompositionError
@@ -197,4 +197,34 @@ def flatten_order(order: CompositionOrder | str) -> list[str]:
     return flat
 
 
-__all__ = ["GateScheduler", "flatten_order", "hierarchical_order"]
+#: Composition-order policies of the case-study builders and the CLI: the
+#: model family's hand-written hierarchical decomposition, the
+#: signal-closing greedy heuristic (``Composer.default_order``) or the
+#: cost-model-guided planner of :mod:`repro.planner`.
+ORDER_POLICIES = ("hierarchical", "greedy", "auto")
+
+
+def order_hook(policy: str, hierarchical: Callable[..., CompositionOrder]) -> Callable:
+    """The order hook ``(translated, values) -> order`` of an order policy.
+
+    ``hierarchical`` is the model family's own hook, returned as is for
+    ``"hierarchical"``; ``"greedy"`` yields ``None`` and ``"auto"`` the
+    planner's ``"auto"`` whatever the model.
+    """
+    if policy not in ORDER_POLICIES:
+        raise CompositionError(
+            f"unknown order policy {policy!r} (expected one of {ORDER_POLICIES})"
+        )
+    if policy == "hierarchical":
+        return hierarchical
+    fixed = "auto" if policy == "auto" else None
+    return lambda translated, values: fixed
+
+
+__all__ = [
+    "GateScheduler",
+    "ORDER_POLICIES",
+    "flatten_order",
+    "hierarchical_order",
+    "order_hook",
+]

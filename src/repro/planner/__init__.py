@@ -14,7 +14,7 @@ hand-craft a hierarchical decomposition:
   the earliest-hiding rule of :class:`repro.composer.GateScheduler`;
 * :mod:`repro.planner.planner` — the :func:`plan_order` facade, wired into
   the stack as ``Composer(order="auto")`` / ``compose_model(order="auto")``
-  and the ``--order auto`` flag of the case-study CLIs.
+  and the ``--order auto`` flag of ``python -m repro``.
 """
 
 from ..errors import PlannerError

@@ -84,9 +84,9 @@ def save_cost_parameters(
     ``family`` names the model family the parameters were fitted on (e.g.
     ``"dds"``); ``source`` optionally records where the fit came from (a
     benchmark name, a statistics run).  The file round-trips through
-    :func:`load_cost_parameters`, which :func:`repro.planner.plan_order` and
-    ``Composer(order="auto", plan_parameters=...)`` accept in place of the
-    built-in DDS/RCS-fitted defaults — closing the calibration loop: every
+    :func:`load_cost_parameters`, which :func:`repro.planner.plan_order`
+    accepts (``parameters=``) in place of the built-in DDS/RCS-fitted
+    defaults — closing the calibration loop: every
     benchmark run can refine the planner for its model family.
     """
     payload: dict[str, object] = {"family": family, **parameters.as_dict()}
@@ -100,7 +100,7 @@ def load_cost_parameters(path: "str | Path") -> CostParameters:
 
     A missing or unreadable file, invalid JSON, or a payload without the two
     damping factors raises :class:`~repro.errors.PlannerError` naming the
-    path — a sweep that points ``plan_parameters=`` at a stale artifact gets
+    path — a run that points ``parameters=`` at a stale artifact gets
     a one-line diagnosis instead of a raw traceback mid-run.
     """
     path = Path(path)
@@ -129,7 +129,7 @@ def load_cost_parameters(path: "str | Path") -> CostParameters:
 def resolve_cost_parameters(
     parameters: "CostParameters | str | Path | None",
 ) -> CostParameters | None:
-    """Normalise a ``plan_parameters`` argument (instance, JSON path or None)."""
+    """Normalise a ``parameters`` argument (instance, JSON path or None)."""
     if parameters is None or isinstance(parameters, CostParameters):
         return parameters
     return load_cost_parameters(parameters)

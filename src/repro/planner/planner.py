@@ -5,8 +5,8 @@
 cost-model-guided search (see :mod:`repro.planner.search`), together with a
 :class:`PlanReport` describing what the search predicted and how much work
 it did.  It is wired into the stack as ``Composer(order="auto")`` /
-``compose_model(order="auto")`` and the ``--order auto`` flag of the
-case-study CLIs, and is the entry point for ad-hoc models whose users have
+``compose_model(order="auto")`` and the ``--order auto`` flag of
+``python -m repro``, and is the entry point for ad-hoc models whose users have
 no hierarchical decomposition at hand.
 
 The pipeline: partition the non-gate blocks into affinity groups (the

@@ -24,6 +24,8 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import stats as scipy_stats
 
+from ..errors import AnalysisError
+
 
 @dataclass(frozen=True)
 class ConfidenceInterval:
@@ -148,12 +150,12 @@ def run_until_relative_error(
     The rule always terminates: each round adds ``batch_size`` replications
     and the replication budget is finite.
     """
-    if rel_error <= 0:
-        raise ValueError(f"rel_error must be positive, got {rel_error}")
+    if not (math.isfinite(rel_error) and rel_error > 0):
+        raise AnalysisError(f"rel_error must be positive and finite, got {rel_error}")
     if batch_size < 2:
-        raise ValueError("batch_size must be at least 2")
-    if abs_error < 0:
-        raise ValueError(f"abs_error must be non-negative, got {abs_error}")
+        raise AnalysisError(f"batch_size must be at least 2, got {batch_size}")
+    if not abs_error >= 0:
+        raise AnalysisError(f"abs_error must be non-negative, got {abs_error}")
     collected: list[np.ndarray] = []
     total = 0
     rounds = 0

@@ -28,6 +28,7 @@ see :mod:`repro.sweep.sensitivity` for the definitions.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -39,11 +40,11 @@ import numpy as np
 
 from ..analysis import ArcadeEvaluator
 from ..arcade.model import ArcadeModel
-from ..composer import QuotientCache, resolve_cache
+from ..composer import QuotientCache
+from ..config import PipelineConfig
 from ..errors import ArcadeError, SweepError
 from ..resilience.checkpoint import SweepCheckpoint
 from ..resilience.faults import active_fault
-from ..resilience.retry import RetryPolicy
 from ..simulation.rng import point_seed
 from ..telemetry.trace import incr, observe
 from ..telemetry.trace import span as telemetry_span
@@ -79,26 +80,25 @@ class SweepFactory:
     importance_components: tuple[str, ...] = ()
 
 
-@dataclass
-class SweepConfig:
-    """Everything :func:`run_sweep` needs besides the factory."""
+@dataclass(frozen=True)
+class SweepConfig(PipelineConfig):
+    """Everything :func:`run_sweep` needs besides the factory.
 
+    The pipeline fields come from :class:`~repro.config.PipelineConfig`
+    (every point's evaluator reads them); two of their defaults differ for
+    sweeps: the cache is ``"on"`` — one instance shared across every
+    evaluation — and a simulated point runs 256 replications.  The fields
+    below are sweep-only.
+    """
+
+    cache: "QuotientCache | str | None" = "on"
+    sim_replications: int = 256
     #: Grid axes: explicit value list per axis, swept as a full product.
     grid: Mapping[str, Sequence[float]] = field(default_factory=dict)
     #: Rate priors for uncertainty propagation (axis -> Prior / (low, high)).
     priors: Mapping[str, "Prior | tuple"] = field(default_factory=dict)
     #: Latin-hypercube samples drawn over ``priors`` (0 disables).
     lhs_samples: int = 0
-    #: ``"compose"``, ``"simulate"`` or ``"auto"`` (per-point choice).
-    backend: str = "compose"
-    #: Flat-product bound for the auto backend choice.
-    auto_state_limit: float = 5e7
-    reduction: str = "strong"
-    #: Shared across every evaluation: ``"on"`` (fresh shared instance),
-    #: ``"off"``/None, or an existing :class:`QuotientCache`.
-    cache: "QuotientCache | str | None" = "on"
-    #: Worker processes per evaluation (the composer's subtree pool).
-    jobs: int = 1
     #: Root of the per-point ``SeedSequence`` spawning discipline.
     root_seed: int = 0
     #: When set, unreliability over this mission time is evaluated per point.
@@ -109,20 +109,11 @@ class SweepConfig:
     fd_step: float = 0.05
     #: Compute component importance at the base point.
     importance: bool = True
-    sim_horizon: float = 10_000.0
-    sim_replications: int = 256
-    sim_rel_error: float | None = None
     #: Per-point failure isolation: a point whose evaluation raises a
     #: library error becomes an ``status="error"`` row (NaN measures, the
     #: message in the ``error`` column) instead of killing the sweep.
     #: Non-library exceptions and interrupts always propagate.
     isolate_failures: bool = False
-    #: Pre-reduction state ceiling per composition step, threaded to the
-    #: composer (:class:`~repro.errors.StateBudgetError` on excess — an
-    #: error row under ``isolate_failures``).
-    state_budget: int | None = None
-    #: Retry policy of the composer's parallel subtree dispatch.
-    retry: "RetryPolicy | None" = None
     #: Base path of the crash-safe checkpoint pair (``None`` disables);
     #: see :class:`~repro.resilience.SweepCheckpoint`.
     checkpoint: "str | None" = None
@@ -133,6 +124,15 @@ class SweepConfig:
     #: anything live; bit-identical to an uninterrupted run (the shared
     #: cache state travels in the checkpoint).
     resume: bool = False
+
+
+#: Config fields that never change a row, left out of the checkpoint
+#: fingerprint: the worker count and the retry policy (results are
+#: bit-identical across both), the cache (a hit rebases to exactly what a
+#: cold pipeline computes) and the checkpoint plumbing itself.
+_ROW_NEUTRAL_FIELDS = frozenset(
+    {"jobs", "retry", "cache", "checkpoint", "checkpoint_every", "resume"}
+)
 
 
 @dataclass(frozen=True)
@@ -165,28 +165,20 @@ def evaluate_point(
     values: Mapping[str, float],
     *,
     seed: int,
-    cache: "QuotientCache | None" = None,
-    jobs: int = 1,
-    backend: str = "compose",
-    reduction: str = "strong",
-    auto_state_limit: float = 5e7,
+    config: PipelineConfig | None = None,
     mission_time: float | None = None,
-    sim_horizon: float = 10_000.0,
-    sim_replications: int = 256,
-    sim_rel_error: float | None = None,
     index: int = 0,
     kind: str = "grid",
     model: ArcadeModel | None = None,
-    retry: "RetryPolicy | None" = None,
-    state_budget: int | None = None,
 ) -> PointResult:
     """Evaluate one parameter point (deterministic given its arguments).
 
     This is the unit the sweep loops over *and* the serial baseline of the
-    bit-identity guarantee: running it with ``cache=None`` and the seed the
-    sweep recorded for the point reproduces the sweep's numbers exactly
-    (cache hits rebase to precisely what a cold pipeline computes, and the
-    simulation backend is a pure function of its seed).
+    bit-identity guarantee: running it with a config without a cache and
+    the seed the sweep recorded for the point reproduces the sweep's
+    numbers exactly (cache hits rebase to precisely what a cold pipeline
+    computes, and the simulation backend is a pure function of its seed).
+    ``seed`` replaces the config's ``sim_seed``.
 
     ``model`` overrides the factory build (used for conditioned importance
     evaluations); ``values`` still resolves the composition order.
@@ -195,20 +187,8 @@ def evaluate_point(
     full.update(values)
     started = time.perf_counter()
     target = model if model is not None else factory.build(full)
-    evaluator = ArcadeEvaluator(
-        target,
-        reduction=reduction,
-        cache=cache,
-        jobs=jobs,
-        backend=backend,
-        auto_state_limit=auto_state_limit,
-        sim_seed=seed,
-        sim_horizon=sim_horizon,
-        sim_replications=sim_replications,
-        sim_rel_error=sim_rel_error,
-        retry=retry,
-        state_budget=state_budget,
-    )
+    evaluator = ArcadeEvaluator(target, config=config, sim_seed=seed)
+    cache = evaluator.cache
     resolved = evaluator.resolved_backend
     if resolved == "compose" and factory.order is not None:
         evaluator.order = factory.order(evaluator.translated, full)
@@ -305,7 +285,8 @@ def _run_sweep_impl(factory: SweepFactory, config: SweepConfig) -> SweepResult:
     specs = enumerate_points(config)
     if not specs:
         raise SweepError("the sweep has no points (empty grid and no LHS samples)")
-    cache = resolve_cache(config.cache)
+    point_config = config.resolved()
+    cache = point_config.cache
     checkpoint: SweepCheckpoint | None = None
     replayed: list[PointResult] = []
     if config.checkpoint is not None:
@@ -338,27 +319,20 @@ def _run_sweep_impl(factory: SweepFactory, config: SweepConfig) -> SweepResult:
         fault = active_fault("sweep.interrupt", key=f"point:{index}")
         if fault is not None:
             raise KeyboardInterrupt(f"injected sweep interrupt before point {index}")
-        arguments = dict(
-            seed=point_seed(config.root_seed, index),
-            cache=cache,
-            jobs=config.jobs,
-            backend=config.backend,
-            reduction=config.reduction,
-            auto_state_limit=config.auto_state_limit,
-            mission_time=config.mission_time,
-            sim_horizon=config.sim_horizon,
-            sim_replications=config.sim_replications,
-            sim_rel_error=config.sim_rel_error,
-            index=index,
-            kind=kind,
-            retry=config.retry,
-            state_budget=config.state_budget,
-        )
-        arguments.update(overrides)
+        seed = point_seed(config.root_seed, index)
         with telemetry_span("sweep.point", index=index, kind=kind) as point_span:
             elapsed_from = time.perf_counter()
             try:
-                row = evaluate_point(factory, values, **arguments)
+                row = evaluate_point(
+                    factory,
+                    values,
+                    seed=seed,
+                    config=point_config,
+                    mission_time=config.mission_time,
+                    index=index,
+                    kind=kind,
+                    **overrides,
+                )
             except ArcadeError as error:
                 if not config.isolate_failures:
                     raise
@@ -371,7 +345,7 @@ def _run_sweep_impl(factory: SweepFactory, config: SweepConfig) -> SweepResult:
                     index=index,
                     kind=kind,
                     values=full,
-                    seed=arguments["seed"],
+                    seed=seed,
                     backend="none",
                     availability=math.nan,
                     unavailability=math.nan,
@@ -524,15 +498,10 @@ def verify_bit_identical(
             factory,
             values,
             seed=int(record["seed"]),
-            cache=None,
-            jobs=1,
-            backend=str(record["backend"]),
-            reduction=config.reduction,
-            auto_state_limit=config.auto_state_limit,
+            config=dataclasses.replace(
+                config, cache=None, jobs=1, backend=str(record["backend"])
+            ),
             mission_time=config.mission_time,
-            sim_horizon=config.sim_horizon,
-            sim_replications=config.sim_replications,
-            sim_rel_error=config.sim_rel_error,
         )
         checked += 1
         for column, fresh_value in (
@@ -700,22 +669,28 @@ def _config_fingerprint(
 ) -> str:
     """Digest of everything that determines the evaluation sequence.
 
-    ``jobs`` is deliberately excluded: the measures are bit-identical across
-    worker counts (the parallel-consistency guarantee), so a checkpoint
-    written under ``jobs=4`` may legitimately resume under ``jobs=1`` — the
-    typical post-crash posture.  Anything that *does* change the sequence or
-    the numbers (space, seeds, backend knobs, derived-phase setup) is in.
+    Every config field is in except :data:`_ROW_NEUTRAL_FIELDS`: a
+    checkpoint written under ``jobs=4`` may legitimately resume under
+    ``jobs=1`` — the typical post-crash posture — but anything that *does*
+    change the sequence or the numbers (space, seeds, pipeline settings,
+    the state budget, failure isolation, derived-phase setup) is in.
     """
+    settings = {
+        spec.name: getattr(config, spec.name)
+        for spec in dataclasses.fields(config)
+        if spec.name not in _ROW_NEUTRAL_FIELDS
+    }
     block = _sweep_block(factory, config)
-    block.pop("jobs")
+    settings.update(grid=block["grid"], priors=block["priors"])
     material = {
-        "sweep": block,
+        "factory": factory.name,
+        "base": block["base"],
+        "config": settings,
         "axes": list(axes),
         "sensitivity_axes": list(sensitivity_axes),
-        "importance": bool(config.importance),
         "importance_components": list(factory.importance_components),
     }
-    canonical = json.dumps(material, sort_keys=True, separators=(",", ":"))
+    canonical = json.dumps(material, sort_keys=True, separators=(",", ":"), default=float)
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 

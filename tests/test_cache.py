@@ -19,6 +19,7 @@ from repro.arcade.semantics import translate_model
 from repro.casestudies.dds import DDSParameters, build_dds_evaluator, build_dds_model, dds_composition_order
 from repro.casestudies.rcs import build_rcs_modular_evaluator
 from repro.composer import Composer, QuotientCache, compose_model, resolve_cache
+from repro.errors import CompositionError
 from repro.ctmc import steady_state_availability
 from repro.planner import (
     CostParameters,
@@ -127,7 +128,7 @@ class TestCacheSharing:
         assert isinstance(resolve_cache("on"), QuotientCache)
         cache = QuotientCache()
         assert resolve_cache(cache) is cache
-        with pytest.raises(ValueError):
+        with pytest.raises(CompositionError, match="unknown cache policy"):
             resolve_cache("sometimes")
 
 
@@ -166,7 +167,7 @@ class TestCachedGoldens:
         assert heat.unavailability() == pytest.approx(
             RCS_GOLDEN["heat_unavailability"], rel=1e-12
         )
-        assert modular.cache is not None and modular.cache.hits > 0
+        assert modular.config.cache is not None and modular.config.cache.hits > 0
 
     def test_dds_planned_order_with_cache_matches_golden(self):
         evaluator = build_dds_evaluator(order="auto", cache="on")
@@ -191,16 +192,6 @@ class TestCostParameterPersistence:
         assert (
             report_file.predicted_peak_states == report_direct.predicted_peak_states
         )
-
-    def test_composer_auto_accepts_parameter_files(self, tmp_path):
-        path = tmp_path / "cost-parameters-test.json"
-        save_cost_parameters(
-            path, CostParameters(0.7, 0.7), family="test"
-        )
-        translated, _ = _small_dds()
-        system = compose_model(translated, order="auto", plan_parameters=str(path))
-        assert system.plan_report is not None
-        assert system.ctmc.num_states > 0
 
 
 class TestMergeFromRejection:

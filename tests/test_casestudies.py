@@ -1,10 +1,13 @@
 """Tests for the paper's case studies (Section 5): DDS and RCS."""
 
 import logging
+import os
+import subprocess
+import sys
 
 import pytest
 
-from repro.casestudies import dds, rcs
+from repro import cli
 from repro.casestudies.dds import (
     DDSParameters,
     MISSION_TIME_HOURS,
@@ -15,6 +18,10 @@ from repro.casestudies.rcs import (
     RCSParameters,
     build_rcs_model,
 )
+
+
+#: The ``src`` directory the ``python -m repro`` subprocess imports from.
+SOURCE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +91,7 @@ class TestDDSFullComposition:
 class TestRCSModel:
     @pytest.fixture(scope="class")
     def pumps(self, rcs_modular):
-        # Identical pipeline to build_pump_evaluator(): same model, same
+        # The pump subsystem's own pipeline: its model under its
         # hierarchical order (see build_rcs_modular_evaluator).
         return rcs_modular.evaluators["pumps"]
 
@@ -148,15 +155,47 @@ def cli_output(caplog):
 
 class TestCaseStudyCLIs:
     def test_dds_cli_runs_a_small_instance(self, cli_output):
-        dds.main(["--clusters", "1", "--disks-per-cluster", "2", "--reduction", "weak"])
+        cli.main(
+            ["dds", "--clusters", "1", "--disks-per-cluster", "2", "--reduction", "weak"]
+        )
         assert "reduction=weak, order=hierarchical" in cli_output.text
         assert "final CTMC: 30 states / 112 transitions" in cli_output.text
 
     def test_rcs_cli_runs(self, cli_output):
-        rcs.main(["--cache", "off"])
+        cli.main(["rcs", "--cache", "off"])
         assert "pump subsystem CTMC: 1164 states / 8928 transitions" in cli_output.text
         assert "cache:" not in cli_output.text
 
     def test_cluster_options_are_dds_only(self):
         with pytest.raises(SystemExit):
-            rcs.main(["--clusters", "1"])
+            cli.main(["rcs", "--clusters", "1"])
+
+    def test_bad_config_value_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["dds", "--clusters", "1", "--jobs", "0"])
+        assert exit_info.value.code == 2
+        error = capsys.readouterr().err
+        assert "jobs must be >= 1" in error
+        assert "Traceback" not in error
+
+    def test_module_entry_point(self):
+        environment = dict(os.environ)
+        environment["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [SOURCE_ROOT, environment.get("PYTHONPATH")])
+        )
+        command = [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro", "dds"]
+        small = ["--clusters", "1", "--disks-per-cluster", "2", "--cache", "off"]
+        ok = subprocess.run(
+            command + small, env=environment, capture_output=True, text=True, timeout=300
+        )
+        assert ok.returncode == 0, ok.stderr
+        assert "final CTMC: 30 states / 112 transitions" in ok.stdout
+        bad = subprocess.run(
+            command + small + ["--jobs", "0"],
+            env=environment,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert bad.returncode == 2
+        assert bad.stderr.strip().splitlines()[-1].endswith("jobs must be >= 1, got 0")

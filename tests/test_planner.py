@@ -112,15 +112,6 @@ class TestDeterminism:
         composer.order = None
         assert composer.compose().plan_report is None
 
-    def test_evaluator_forwards_plan_budget_and_seed(self):
-        evaluator = ArcadeEvaluator(
-            random_arcade_model(1), order="auto", plan_budget=32, plan_seed=5
-        )
-        report = evaluator.composed.plan_report
-        assert report is not None
-        assert report.budget == 32
-        assert report.seed == 5
-
 
 class TestCostModel:
     def test_calibration_fits_dampings_from_a_real_run(self):

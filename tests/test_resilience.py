@@ -397,6 +397,24 @@ class TestSweepCheckpointResume:
                 ),
             )
 
+    @pytest.mark.parametrize(
+        "changed", [{"state_budget": None}, {"isolate_failures": False}]
+    )
+    def test_budget_and_isolation_are_in_the_fingerprint(self, tmp_path, changed):
+        # Rows written under a state budget with failure isolation are error
+        # rows; replaying them into a run without either would hand back
+        # NaN rows that a fresh run of that configuration computes fine.
+        checkpoint = str(tmp_path / "sweep")
+        written = dict(checkpoint=checkpoint, state_budget=2, isolate_failures=True)
+        plan = FaultPlan(specs=(FaultSpec(site="sweep.interrupt", key="point:2"),))
+        with inject_faults(plan):
+            with pytest.raises(KeyboardInterrupt):
+                run_sweep(_pair_factory(), _sweep_config(**written))
+        with pytest.raises(SweepError, match="different sweep configuration"):
+            run_sweep(
+                _pair_factory(), _sweep_config(**dict(written, resume=True, **changed))
+            )
+
     def test_jobs_is_excluded_from_the_fingerprint(self, tmp_path):
         # A checkpoint written under jobs=2 must resume under jobs=1: the
         # measures are identical across worker counts, and post-crash

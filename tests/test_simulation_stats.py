@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.errors import AnalysisError
 from repro.simulation import (
     batch_means,
     make_generator,
@@ -203,7 +204,7 @@ def test_stopping_rule_reports_budget_exhaustion_reason():
 
 
 def test_stopping_rule_rejects_negative_abs_error():
-    with pytest.raises(ValueError):
+    with pytest.raises(AnalysisError, match="abs_error must be non-negative"):
         run_until_relative_error(
             lambda count: np.zeros(count), rel_error=0.1, abs_error=-1.0
         )

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import ArcadeEvaluator
+from repro.analysis import evaluator as evaluator_module
 from repro.arcade import (
     ArcadeModel,
     BasicComponent,
@@ -345,10 +346,11 @@ class TestDriver:
 
 
 class TestBackendRouting:
-    def test_auto_resolves_by_flat_state_bound(self):
+    def test_auto_resolves_by_flat_state_bound(self, monkeypatch):
         model = _build_tiny({"fail_a": 0.01, "fail_b": 0.02, "repair": 1.0})
         assert ArcadeEvaluator(model, backend="auto").resolved_backend == "compose"
-        tiny_limit = ArcadeEvaluator(model, backend="auto", auto_state_limit=2.0)
+        monkeypatch.setattr(evaluator_module, "AUTO_STATE_LIMIT", 2.0)
+        tiny_limit = ArcadeEvaluator(model, backend="auto")
         assert tiny_limit.resolved_backend == "simulate"
         fixed = ArcadeEvaluator(model, backend="simulate")
         assert fixed.resolved_backend == "simulate"
@@ -439,7 +441,7 @@ class TestStore:
 # --------------------------------------------------------------------------- #
 class TestCliParsing:
     def test_grid_specs(self):
-        from repro.casestudies.sweep_cli import parse_grid_specs
+        from repro.cli import parse_grid_specs
 
         grid = parse_grid_specs(["fail_a=0.1,0.2", "repair=1"])
         assert grid == {"fail_a": [0.1, 0.2], "repair": [1.0]}
@@ -449,7 +451,7 @@ class TestCliParsing:
             parse_grid_specs(["fail_a=abc"])
 
     def test_prior_specs(self):
-        from repro.casestudies.sweep_cli import parse_prior_specs
+        from repro.cli import parse_prior_specs
 
         priors = parse_prior_specs(["r=1e-4,1e-2", "s=0,1,linear"])
         assert priors["r"] == Prior(1e-4, 1e-2, log=True)
