@@ -196,21 +196,6 @@ class CTMC:
             (data, (rows, cols)), shape=(self.num_states, self.num_states)
         )
 
-    def generator_matrix(self) -> sparse.csr_matrix:
-        """Infinitesimal generator ``Q = R - diag(exit rates)``."""
-        rate_matrix = self.rate_matrix().tolil()
-        exit_rates = np.asarray(rate_matrix.sum(axis=1)).flatten()
-        for state in range(self.num_states):
-            rate_matrix[state, state] -= exit_rates[state]
-        return rate_matrix.tocsr()
-
-    def uniformization_rate(self) -> float:
-        """A uniformisation constant (strictly larger than every exit rate)."""
-        rate_matrix = self.rate_matrix()
-        exit_rates = np.asarray(rate_matrix.sum(axis=1)).flatten()
-        maximum = float(exit_rates.max()) if self.num_states else 0.0
-        return maximum * 1.02 + 1e-12
-
     def absorbing_states(self) -> list[int]:
         """States without outgoing transitions."""
         has_exit = set(source for source, _ in self._rates)

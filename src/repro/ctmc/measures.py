@@ -67,8 +67,11 @@ def interval_unavailability(
     if time <= 0:
         return 1.0 - point_availability(ctmc, 0.0, down_label=down_label)
     times = np.linspace(0.0, time, resolution)
-    values = [1.0 - point_availability(ctmc, float(t), down_label=down_label) for t in times]
-    return float(np.trapz(values, times) / time)
+    values = np.array(
+        [1.0 - point_availability(ctmc, float(t), down_label=down_label) for t in times]
+    )
+    area = np.sum(np.diff(times) * (values[1:] + values[:-1]) / 2.0)
+    return float(area / time)
 
 
 def evaluate(

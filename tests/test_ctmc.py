@@ -1,6 +1,7 @@
 """Tests for the CTMC solvers (steady state, transient, absorbing, lumping)."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,10 +11,12 @@ from hypothesis import strategies as st
 from repro.ctmc import (
     CTMC,
     bottom_strongly_connected_components,
+    interval_unavailability,
     lump,
     make_absorbing,
     mean_time_to_failure,
     point_availability,
+    poisson_window,
     reliability,
     steady_state_availability,
     steady_state_distribution,
@@ -21,7 +24,7 @@ from repro.ctmc import (
     unreliability,
 )
 from repro.ctmc.csl import Atomic, CSLChecker, Not, ProbabilisticUntil, SteadyState, eventually
-from repro.errors import ModelError
+from repro.errors import AnalysisError, ModelError
 
 
 def two_state_machine(failure_rate=0.01, repair_rate=1.0) -> CTMC:
@@ -134,6 +137,26 @@ class TestTransient:
         with pytest.raises(AnalysisError):
             transient_distribution(two_state_machine(), -1.0)
 
+    def test_huge_horizon_returns_steady_state(self):
+        """At 1e12 h the Poisson window has ~1e13 steps; detection ends it."""
+        chain = CTMC(2, [(0, 1.0, 1), (1, 10.0, 0)], 0, {1: frozenset({"down"})})
+        started = time.perf_counter()
+        availability = point_availability(chain, 1e12)
+        assert time.perf_counter() - started < 1.0
+        assert availability == pytest.approx(10.0 / 11.0, rel=1e-12)
+
+    def test_interval_unavailability_two_state_closed_form(self):
+        failure, repair, horizon = 0.2, 1.0, 5.0
+        total = failure + repair
+        steady = failure / total
+        # Mean of steady * (1 - exp(-total t)) over [0, horizon].
+        expected = steady * (1.0 - (1.0 - math.exp(-total * horizon)) / (total * horizon))
+        # Trapezoid error bound on a 200-point grid: h^2 / 12 * max |U''|.
+        step = horizon / 199
+        bound = step**2 / 12 * steady * total**2
+        value = interval_unavailability(two_state_machine(failure, repair), horizon)
+        assert abs(value - expected) <= bound
+
     @pytest.mark.parametrize("horizon", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
         "measure", [reliability, unreliability, point_availability, transient_distribution]
@@ -143,6 +166,42 @@ class TestTransient:
 
         with pytest.raises(AnalysisError, match="finite time horizon"):
             measure(quickstart_chain, horizon)
+
+
+class TestPoissonWindow:
+    @pytest.mark.parametrize("mean", [0.5, 30.0, 1e3, 5e4, 1e9])
+    def test_bounds_are_the_scipy_quantiles(self, mean):
+        from scipy import stats
+
+        left, right, weights = poisson_window(mean, 1e-12)
+        assert left == int(stats.poisson.ppf(5e-13, mean))
+        assert right == max(int(stats.poisson.ppf(1 - 5e-13, mean)), left + 1)
+        assert len(weights) == right - left + 1
+
+    @pytest.mark.parametrize("mean", [3e11, 1e13, 1e300])
+    def test_bounds_stay_finite_beyond_the_quantile_range(self, mean):
+        from repro.ctmc.transient import _poisson_bounds
+
+        left, right = _poisson_bounds(mean, 1e-12)
+        assert 0 <= left < right
+        assert left <= mean <= right
+
+    def test_tail_bounds_cover_the_window(self):
+        """Where both apply, the Chernoff points lie outside the quantiles."""
+        from scipy import stats
+
+        mean, log_term = 1e11, math.log(2e12)
+        assert math.floor(mean - math.sqrt(2 * log_term * mean)) <= stats.poisson.ppf(5e-13, mean)
+        upper = mean + log_term / 3 + math.sqrt(log_term**2 / 9 + 2 * log_term * mean)
+        assert math.ceil(upper) >= stats.poisson.ppf(1 - 5e-13, mean)
+
+    @pytest.mark.parametrize(
+        "mean,epsilon",
+        [(math.nan, 1e-12), (math.inf, 1e-12), (1e20, 1e-12), (10.0, 0.0), (10.0, 1.0), (10.0, math.nan)],
+    )
+    def test_bad_arguments_raise_a_typed_error(self, mean, epsilon):
+        with pytest.raises(AnalysisError):
+            poisson_window(mean, epsilon)
 
 
 class TestAbsorbing:

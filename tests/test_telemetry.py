@@ -111,6 +111,25 @@ class TestSpans:
         # Children are emitted before their parents close (exit order).
         assert [event["name"] for event in events] == ["inner", "outer"]
 
+    def test_transient_solve_records_its_health(self):
+        from repro.ctmc import CTMC, point_availability
+
+        cycle = CTMC(20, [(state, 1.0, (state + 1) % 20) for state in range(20)])
+        chain = CTMC(2, [(0, 1.0, 1), (1, 10.0, 0)], 0, {1: frozenset({"down"})})
+        telemetry = Telemetry(MemorySink())
+        with telemetry.activate():
+            point_availability(cycle, 1.0)
+            point_availability(chain, 1e3)
+        solves = [e["attrs"] for e in telemetry.export_events() if e["name"] == "solve.transient"]
+        assert [set(attrs) for attrs in solves] == 2 * [
+            {"states", "uniformization_rate", "left", "right", "steps", "detected_at"}
+        ]
+        short, long = solves
+        assert short["states"] == 20 and short["uniformization_rate"] == 1.02 + 1e-12
+        # A window inside the chain never consults the steady state.
+        assert short["detected_at"] == -1 and short["steps"] == short["right"] <= 20
+        assert long["right"] > 2 and 0 <= long["detected_at"] == long["steps"] < long["left"]
+
     def test_ambient_helpers_are_noops_without_a_session(self):
         assert current_telemetry() is None
         with span("anything", ignored=1) as record:
